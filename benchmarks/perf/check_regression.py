@@ -28,7 +28,6 @@ from repro.harness.perfbench import (  # noqa: E402
     BENCH_FILE,
     REGRESSION_TOLERANCE,
     SUITE,
-    effective_kernel,
     load_record,
     run_suite,
 )
@@ -74,19 +73,6 @@ def main(argv=None) -> int:
         print(f"error: no benchmark record at {args.record}", file=sys.stderr)
         return 2
     baseline = record["results"]
-
-    # Throughput is only comparable within one engine kernel: gating a
-    # python-kernel run against a vectorized baseline (or vice versa)
-    # would flag the kernel gap, not a regression.  Old records without
-    # the field (schema 1) are treated as matching.
-    kernel = effective_kernel()
-    base_kernel = record.get("engine_kernel")
-    if base_kernel is not None and base_kernel != kernel:
-        print(f"notice: baseline {os.path.basename(args.record)} was "
-              f"recorded with engine_kernel={base_kernel!r} but this run "
-              f"uses {kernel!r}; skipping the regression gate "
-              "(regenerate the record under this kernel to gate it)")
-        return 0
 
     fresh = run_suite(repeat=args.repeat, quick=args.quick, only=only,
                       out=sys.stdout)

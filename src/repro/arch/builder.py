@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 from .config import ArchConfig
 from ..core.engine import EngineParams, Machine
 from ..core.sync import make_policy
@@ -78,27 +76,6 @@ def build_memory(cfg: ArchConfig):
     )
 
 
-def resolve_engine_kernel(cfg: ArchConfig) -> str:
-    """The engine kernel this configuration will actually request.
-
-    ``auto`` resolves to the ``REPRO_ENGINE_KERNEL`` environment variable
-    (when set to a valid kernel name) or ``vectorized``; explicit values
-    pass through untouched, so tests pinning a kernel are immune to the
-    environment.  ``sanitize`` always forces ``python``: the runtime
-    checker monkeypatches the reference code paths and must observe them.
-    Note ``compiled`` may still degrade to ``vectorized`` inside the
-    engine when no C toolchain is available.
-    """
-    kernel = cfg.engine_kernel
-    if kernel == "auto":
-        env = os.environ.get("REPRO_ENGINE_KERNEL", "")
-        kernel = env if env in ("python", "vectorized", "compiled") \
-            else "vectorized"
-    if cfg.sanitize:
-        kernel = "python"
-    return kernel
-
-
 def build_machine(cfg: ArchConfig) -> Machine:
     """Assemble a ready-to-run (serial) machine from a configuration.
 
@@ -139,9 +116,7 @@ def build_machine(cfg: ArchConfig) -> Machine:
         router_penalty=cfg.router_penalty,
         chunk_bytes=cfg.chunk_bytes,
         model_contention=cfg.model_contention,
-        inbox_heap=cfg.inbox_heap,
         seed=cfg.seed,
-        engine_kernel=resolve_engine_kernel(cfg),
     )
     if cfg.shards > 0:
         from ..parallel.partition import contiguous_partition

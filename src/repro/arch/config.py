@@ -64,9 +64,6 @@ class ArchConfig:
     shadow_enabled: bool = True
     shadow_mode: str = "fast"
     sync_kwargs: Dict = field(default_factory=dict)
-    #: Maintain per-core arrival-ordered inbox heaps (False falls back to
-    #: linear earliest-arrival scans; delivery semantics are identical).
-    inbox_heap: bool = True
 
     # Run-time task dispatch: occupancy (paper default) | speed_aware |
     # latency_aware | random (see repro.runtime.dispatch).
@@ -82,19 +79,6 @@ class ArchConfig:
     queue_capacity: int = 4
     slice_actions: int = 64
     parallelism_sample_interval: int = None  # None = no sampling
-    #: Engine hot-loop implementation: "python" (reference scalar loops),
-    #: "vectorized" (struct-of-arrays fast paths + numpy wave priming) or
-    #: "compiled" (native relax kernel, built on first use; degrades to
-    #: vectorized when no C toolchain is available).  "auto" resolves to
-    #: the REPRO_ENGINE_KERNEL environment variable or "vectorized".
-    #: All kernels are bit-identical; ``sanitize`` forces "python"
-    #: (the checker cross-checks the reference code paths).  Because of
-    #: that bit-identity guarantee — pinned by the golden suite and the
-    #: differential fuzzer — kernel selection is a *non-semantic* field:
-    #: the service result cache (``repro.arch.io.NON_SEMANTIC_FIELDS``)
-    #: deliberately excludes it, so the same spec run under any kernel
-    #: shares one cache entry.
-    engine_kernel: str = "auto"       # auto | python | vectorized | compiled
 
     # Timing annotations.
     branch_accuracy: float = 0.9
@@ -190,10 +174,6 @@ class ArchConfig:
         if self.worker_start_method not in ("auto", "fork", "spawn"):
             raise SimConfigError(
                 f"unknown worker_start_method {self.worker_start_method!r}")
-        if self.engine_kernel not in ("auto", "python", "vectorized",
-                                      "compiled"):
-            raise SimConfigError(
-                f"unknown engine_kernel {self.engine_kernel!r}")
 
     def resolved_speed_factors(self) -> list:
         """Per-core speed factors (cost multipliers; >1 = slower)."""

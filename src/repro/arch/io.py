@@ -85,7 +85,7 @@ def config_overrides_dict(base: ArchConfig, cfg: ArchConfig) -> dict:
     """The semantic fields where ``cfg`` differs from ``base``.
 
     Both configs are reduced to their canonical dicts first, so
-    non-semantic knobs (telemetry, kernel selection, labels) never show
+    non-semantic knobs (telemetry, sanitizer, labels) never show
     up as differences.  Used by the DSE result frame to display each
     sweep cell as a minimal delta against the family's base point.
     """
@@ -103,10 +103,6 @@ def config_overrides_dict(base: ArchConfig, cfg: ArchConfig) -> dict:
 #: * ``telemetry`` / ``collect_trace`` / ``sanitize`` — observation-only;
 #:   golden numbers and trace digests are pinned bit-identical with them
 #:   on (``tests/test_obs.py``, ``tests/test_verify.py``);
-#: * ``engine_kernel`` — the kernel sweep in ``tests/test_determinism.py``
-#:   pins all kernels bit-identical;
-#: * ``inbox_heap`` — delivery semantics are identical with the heap on
-#:   or off (only the scan strategy changes);
 #: * ``worker_start_method`` — how worker processes boot on the host
 #:   cannot reach the simulated machine.
 #:
@@ -121,8 +117,6 @@ NON_SEMANTIC_FIELDS = frozenset({
     "telemetry",
     "collect_trace",
     "sanitize",
-    "engine_kernel",
-    "inbox_heap",
     "worker_start_method",
 })
 

@@ -45,8 +45,11 @@ from ..core.errors import SimError
 
 #: File magic for snapshot files.
 MAGIC = b"RPSNAP"
-#: Bump on any change to the encoding or the captured-state schema.
-CHECKPOINT_VERSION = 1
+#: Bump on any change to the encoding, the captured-state schema or the
+#: ``ArchConfig`` fields a snapshot carries (2: the kernel-selection and
+#: inbox-toggle fields left the config; a version-1 file would otherwise
+#: fail ``ArchConfig(**config)`` with a TypeError instead of this error).
+CHECKPOINT_VERSION = 2
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")

@@ -13,7 +13,7 @@ Only then does execution continue past the boundary.
 This yields exactly the differential contract the conformance fuzzer
 pins: ``run(0→end)`` and ``run(0→k); restore; run(k→end)`` produce
 bit-identical result documents and trace digests, for any workload ×
-backend × kernel.  What a checkpoint buys is not wall-clock on the
+backend.  What a checkpoint buys is not wall-clock on the
 prefix (the prefix is re-simulated) but *integrity*: a killed or
 preempted job resumes onto a state proven equal to the one it lost,
 and any divergence — code drift, nondeterminism, a corrupted file —

@@ -2,9 +2,8 @@
 
 A :class:`Snapshot` is everything a restore needs to continue a run:
 
-* the full :class:`~repro.arch.config.ArchConfig` (including
-  non-semantic fields — the restore must rebuild the *same* machine,
-  kernel selection included, to reproduce the trajectory bit-exactly);
+* the full :class:`~repro.arch.config.ArchConfig` the run was built
+  from, so a restore needs nothing but the file;
 * the resolved :class:`~repro.parallel.channels.WorkloadSpec` list
   (workload factories are deterministic in their spec, so the rebuilt
   roots are identical);

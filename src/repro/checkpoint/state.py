@@ -132,7 +132,7 @@ def summarize_message(msg, depth: int = _MAX_DEPTH) -> tuple:
 
 def _capture_core(core) -> Dict[str, Any]:
     live_deque = [summarize_message(m) for m in core.inbox if not m.consumed]
-    heap = core._inbox_heap
+    heap = core._arrival_heap
     # The heap's internal order depends on push/pop history, which the
     # deterministic trajectory fixes; entries keep their tombstones so
     # the lazy-purge state is captured too.
@@ -142,7 +142,7 @@ def _capture_core(core) -> Dict[str, Any]:
         "queue": [summarize_task(t) for t in core.queue],
         "current": summarize_task(core.current) if core.current else None,
         "inbox": live_deque,
-        "inbox_heap": live_heap,
+        "arrival_heap": live_heap,
         "mailbox": [summarize_message(m) for m in core.user_mailbox],
         "recv_waiters": [(summarize_task(t), tag)
                          for t, tag in core.recv_waiters],
@@ -281,7 +281,6 @@ def capture_machine_state(machine) -> Dict[str, Any]:
     }
     host: Dict[str, Any] = {
         "wall_seconds": _raw(machine.stats.wall_seconds),
-        "engine_kernel": machine.engine_kernel,
     }
     if machine.telemetry is not None:
         host["telemetry"] = summarize(machine.telemetry.snapshot())

@@ -106,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--round-batch", type=int, default=None, metavar="N",
                      help="sharded backend: max engine sub-rounds a worker "
                           "runs per coordination round (default 16)")
-    run.add_argument("--kernel", default=None,
-                     choices=("auto", "python", "vectorized", "compiled"),
-                     help="engine hot-loop implementation (default auto: "
-                          "REPRO_ENGINE_KERNEL or vectorized); all kernels "
-                          "are bit-identical")
     run.add_argument("--sanitize", action="store_true",
                      help="enable the runtime invariant sanitizer (drift "
                           "bound, causal delivery, publish monotonicity; "
@@ -245,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top-20 "
                             "cumulative hot functions instead of timing")
-    bench.add_argument("--kernel", default=None,
-                       choices=("python", "vectorized", "compiled"),
-                       help="pin the engine kernel for the whole suite "
-                            "(exported as REPRO_ENGINE_KERNEL so sharded "
-                            "workers inherit it); recorded in the output")
     return parser
 
 
@@ -312,8 +302,6 @@ def _make_config(args):
         overrides["round_batch"] = args.round_batch
     if getattr(args, "sanitize", False):
         overrides["sanitize"] = True
-    if getattr(args, "kernel", None) is not None:
-        overrides["engine_kernel"] = args.kernel
     telemetry = getattr(args, "telemetry", None)
     if telemetry is None and getattr(args, "telemetry_out", None):
         telemetry = "all"
@@ -627,11 +615,6 @@ def _cmd_sweep(args, out) -> int:
 def _cmd_bench(args, out) -> int:
     from .harness import perfbench
 
-    if args.kernel:
-        # Environment rather than config plumbing: every build in the
-        # suite (and any sharded worker child) resolves "auto" through
-        # REPRO_ENGINE_KERNEL, so one export pins them all.
-        os.environ["REPRO_ENGINE_KERNEL"] = args.kernel
     if args.profile:
         perfbench.profile_suite(quick=args.quick, top=20, out=out)
         return 0

@@ -64,7 +64,7 @@ class CoreUnit:
         "queue", "inbox", "current", "reserved_slots",
         "locks_held", "user_mailbox", "recv_waiters",
         "lax_ref", "lax_next_check",
-        "track_arrivals", "_inbox_heap",
+        "track_arrivals", "_arrival_heap",
     )
 
     last_processed_arrival = _plane_scalar(
@@ -113,14 +113,14 @@ class CoreUnit:
         #: only ever pop host-order (spatial, unbounded) skip the heap
         #: entirely.
         self.track_arrivals = False
-        self._inbox_heap: List[Tuple[float, int, Message]] = []
+        self._arrival_heap: List[Tuple[float, int, Message]] = []
 
     # -- inbox -----------------------------------------------------------
     def inbox_push(self, msg: Message) -> None:
         """Deliver an architectural message to this core."""
         inbox = self.inbox
         if self.track_arrivals:
-            heap = self._inbox_heap
+            heap = self._arrival_heap
             if heap and not inbox:
                 # All live messages were drained host-order; drop the
                 # tombstones instead of letting them accumulate.
@@ -142,39 +142,27 @@ class CoreUnit:
     def inbox_pop_earliest(self) -> Message:
         """Next message in arrival-timestamp order (FIFO among ties).
 
-        Falls back to a linear scan when the heap is disabled — this is
-        the legacy deque path, kept selectable so equivalence between the
-        two implementations stays testable.
+        Only arrival-ordered policies call this, and the engine turns
+        ``track_arrivals`` on for exactly those, so the heap is live.
         """
         inbox = self.inbox
         self._soa.inbox_len[self.cid] -= 1
-        if self.track_arrivals:
-            heap = self._inbox_heap
-            while True:
-                _, _, msg = heappop(heap)
-                if not msg.consumed:
-                    break
-            msg.consumed = True
-            if inbox and inbox[0] is msg:
-                inbox.popleft()
-            while inbox and inbox[0].consumed:
-                inbox.popleft()
-            return msg
-        best = 0
-        best_t = inbox[0].arrival
-        for i in range(1, len(inbox)):
-            t = inbox[i].arrival
-            if t < best_t:
-                best = i
-                best_t = t
-        msg = inbox[best]
-        del inbox[best]
+        heap = self._arrival_heap
+        while True:
+            _, _, msg = heappop(heap)
+            if not msg.consumed:
+                break
+        msg.consumed = True
+        if inbox and inbox[0] is msg:
+            inbox.popleft()
+        while inbox and inbox[0].consumed:
+            inbox.popleft()
         return msg
 
     def inbox_peek_earliest(self) -> Optional[Message]:
         """The earliest-arrival pending message (None when empty)."""
         if self.track_arrivals:
-            heap = self._inbox_heap
+            heap = self._arrival_heap
             while heap:
                 msg = heap[0][2]
                 if msg.consumed:

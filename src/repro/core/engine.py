@@ -40,7 +40,6 @@ from .actions import (
 from .coreunit import CoreUnit
 from .errors import SimConfigError, SimDeadlock, SimError, TaskError
 from .fabric import VirtualTimeFabric, exact_shadow_fixpoint
-from .kernels import resolve_kernel
 from .messages import DEFAULT_SIZES, Message, MsgKind
 from .soa import CoreStateArrays
 from .stats import SimStats, WallTimer
@@ -130,8 +129,7 @@ class Machine:
     next core's turn, matching the paper's userland-threads model.
     Consecutive pure-compute actions within a slice are fused into one
     fabric advance, and per-core inboxes keep an incremental
-    arrival-ordered heap only when the policy needs ordered queries
-    (``inbox_heap``).
+    arrival-ordered heap only when the policy needs ordered queries.
 
     Example::
 
@@ -159,8 +157,6 @@ class Machine:
         chunk_bytes: int = 64,
         model_contention: bool = True,
         seed: int = 0,
-        inbox_heap: bool = True,
-        engine_kernel: str = "python",
     ) -> None:
         self.topo = topo
         self.n_cores = topo.n_cores
@@ -168,11 +164,6 @@ class Machine:
         self.policy = policy
         self.seed = seed
         self.stats = SimStats(n_cores=self.n_cores)
-        #: Requested / effective engine kernel (see repro.core.kernels).
-        #: ``compiled`` resolves to ``vectorized`` with a note when the
-        #: host has no C toolchain — selection never fails a run.
-        self.engine_kernel, self.engine_kernel_note = \
-            resolve_kernel(engine_kernel)
 
         self.noc = Noc(
             topo,
@@ -193,12 +184,6 @@ class Machine:
             on_publish_increase=self._on_publish_increase,
             soa=self.soa,
         )
-        if self.engine_kernel != "python":
-            self.fabric.set_floor_cache(True)
-        if self.engine_kernel == "compiled":
-            if not self.fabric.enable_compiled_relax():  # pragma: no cover
-                self.engine_kernel = "vectorized"
-                self.engine_kernel_note = "compiled relax unavailable"
 
         table = cost_table or default_cost_table()
         if speed_factors is None:
@@ -303,12 +288,12 @@ class Machine:
         self._svc_clock_col = soa.service_clock
         self._busy_col = soa.busy_cycles
         self._last_arrival_col = soa.last_arrival
-        # Wave-batched floor priming (vectorized/compiled kernels under
-        # a drift-checking policy on a non-degenerate topology): one
-        # numpy gather per drain computes every core's exact drift floor
-        # into the fabric's cached lower bounds.
+        # Wave-batched floor priming (a drift-checking policy on a
+        # non-degenerate topology, floor cache armed): one numpy gather
+        # per drain computes every core's exact drift floor into the
+        # fabric's cached lower bounds.
         self._wave_floors = (
-            self.engine_kernel != "python"
+            self.fabric._floor_cache_on
             and bool(getattr(policy, "checks_drift", False))
             and soa.min_degree > 0
         )
@@ -326,7 +311,7 @@ class Machine:
             if type(policy).on_advance is not SyncPolicy.on_advance
             else None
         )
-        track = inbox_heap and (
+        track = (
             self._ordered_units
             or self._ordered_inbox
             or bool(getattr(policy, "uses_event_times", False))
@@ -799,7 +784,7 @@ class Machine:
         vtimes = self.fabric.vtime
         in_ready_col = self._in_ready_col
         pops = 0
-        if self._wave_floors and self.fabric._floor_cache_on:
+        if self._wave_floors:
             self._prime_floor_cache()
         # Decoupled-phase fast-forward (sharded backend only): when the
         # popped core is provably the shard's sole runnable core (ready
@@ -1470,13 +1455,9 @@ class Machine:
         label = policy.bound_label(self)
         bound = f" ({label})" if label else ""
         tel = self.telemetry
-        kernel = self.engine_kernel
-        if self.engine_kernel_note:
-            kernel += f" ({self.engine_kernel_note})"
         lines = [
             f"Machine: {self.n_cores} cores on {self.topo.name}",
             f"  sync policy     : {self.policy.name}" + bound,
-            f"  engine kernel   : {kernel}",
             f"  telemetry       : "
             f"{tel.describe() if tel is not None else 'off'}",
             f"  memory model    : {type(self.memory).__name__}",

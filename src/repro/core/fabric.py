@@ -138,14 +138,16 @@ class VirtualTimeFabric:
         self.shadow_recomputes = 0
         self._min_degree = soa.min_degree
         #: Cached lower bound on each core's drift floor (see
-        #: ``SpatialSync.may_run``).  Valid only while ``_floor_cache_on``
-        #: (vectorized/compiled kernels, fast shadow mode): publish
-        #: increases keep a lower bound trivially valid, and every event
-        #: that can *lower* a floor (spawn births, first INF->finite
-        #: publishes, full recomputes) lowers or resets the bound too.
+        #: ``SpatialSync.may_run``): publish increases keep a lower
+        #: bound trivially valid, and every event that can *lower* a
+        #: floor (spawn births, first INF->finite publishes, full
+        #: recomputes) lowers or resets the bound too.  That holds only
+        #: under fast (monotone) shadow mode — exact-mode recomputes may
+        #: lower arbitrary values lazily — so the cache is armed from the
+        #: mode alone and ``may_run`` uses the reference computation
+        #: under ``shadow_mode == "exact"``.
         self._floor_lb = soa.floor_lb
-        self._floor_cache_on = False
-        self._crelax = None  # compiled relax-wave state (engine kernel)
+        self._floor_cache_on = shadow_mode != "exact"
         # Number of idle neighbours per core (all cores start idle).
         # Relaxation waves from an advance can only act on idle
         # neighbours, so advances gate the wave on this counter — on a
@@ -412,19 +414,7 @@ class VirtualTimeFabric:
         if self.shadow_enabled:
             self._full_recompute()
 
-    # -- engine-kernel fast paths ----------------------------------------
-    def set_floor_cache(self, on: bool) -> None:
-        """Arm the cached-floor drift check (vectorized/compiled kernels).
-
-        The cache is a per-core *lower bound* on the drift floor; it is
-        sound only under fast (monotone) shadow mode, where published
-        times can fall solely through the events hooked above — exact
-        mode recomputes may lower arbitrary values lazily, so the cache
-        stays off there and ``SpatialSync.may_run`` uses the reference
-        computation.
-        """
-        self._floor_cache_on = bool(on) and not self._exact
-
+    # -- drift-floor cache -------------------------------------------------
     def _lower_neighbor_floors(self, cid: int, value: float) -> None:
         """A first (INF -> finite) publish can *lower* the neighbours'
         drift floors; keep their cached lower bounds below it."""
@@ -432,77 +422,6 @@ class VirtualTimeFabric:
         for j in self._neighbors[cid]:
             if value < lb[j]:
                 lb[j] = value
-
-    def enable_compiled_relax(self) -> bool:
-        """Swap ``_relax_up`` for the compiled wave (engine kernel
-        ``compiled``); returns False when the library is unavailable.
-        The instance attribute shadows the method, so every internal
-        call site (advance/commit/set_active/_relax_self/...) takes the
-        compiled path with no further dispatch cost."""
-        from .kernels import compiled_library
-
-        lib, _ = compiled_library()
-        if lib is None or self.n_cores == 0:
-            return False
-        soa = self.soa
-        cap = max(64, 4 * self.n_cores, 2 * soa.max_degree)
-        self._crelax = {
-            "fn": lib.relax_wave,
-            "pub": soa.addr("published"),
-            "act": soa.addr("active"),
-            "idx": soa.csr_indices.buffer_info()[0],
-            "off": soa.csr_offsets.buffer_info()[0],
-            "stack": np.zeros(cap, dtype=np.int64),
-            "wakes": np.zeros(cap, dtype=np.int64),
-            "io": np.zeros(2, dtype=np.int64),
-            "cap": cap,
-            "max_deg": soa.max_degree,
-        }
-        self._relax_up = self._relax_up_compiled
-        return True
-
-    def _relax_up_compiled(self, cid: int) -> None:
-        """Compiled increase-only relax wave (see ``kernels/relax.c``).
-
-        Bit-identical to :meth:`_relax_up`: the C code replicates the
-        exact traversal and float arithmetic, records every core that
-        rose in rise order, and this wrapper replays the
-        ``on_publish_increase`` notifications in that order (the wave
-        never reads the state those notifications mutate, so replaying
-        after each chunk is unobservable — see relax.c).
-        """
-        tel = self.telemetry
-        if tel is not None:
-            tel.relax_waves[cid] += 1
-        ck = self._crelax
-        fn = ck["fn"]
-        stack = ck["stack"]
-        io = ck["io"]
-        stack[0] = cid
-        io[0] = 1
-        notify = self.on_publish_increase
-        T = self.T
-        ceiling = self.max_vtime + T
-        while True:
-            fn(ck["pub"], ck["act"], ck["idx"], ck["off"], T, ceiling,
-               stack.ctypes.data, ck["wakes"].ctypes.data,
-               ck["cap"], ck["cap"], ck["max_deg"], io.ctypes.data)
-            wake_count = int(io[1])
-            if notify is not None and wake_count:
-                wakes = ck["wakes"]
-                for i in range(wake_count):
-                    notify(int(wakes[i]))
-            remaining = int(io[0])
-            if remaining == 0:
-                break
-            if remaining + ck["max_deg"] > ck["cap"]:
-                # Pathological cascade: double the buffers and resume.
-                new_cap = ck["cap"] * 2
-                grown = np.zeros(new_cap, dtype=np.int64)
-                grown[:remaining] = stack[:remaining]
-                ck["stack"] = stack = grown
-                ck["wakes"] = np.zeros(new_cap, dtype=np.int64)
-                ck["cap"] = new_cap
 
     # -- shadow machinery -------------------------------------------------
     def _notify(self, cid: int) -> None:

@@ -14,14 +14,10 @@ publication is a vectorized gather instead of a Python loop.
 Columns are ``array.array`` instances rather than numpy ndarrays:
 scalar indexing on an ``array('d')`` costs about half of boxing a numpy
 scalar, which matters because the engine's innermost loops index single
-cores, while the buffer protocol still gives
-
-* zero-copy numpy views (``vtime_np`` etc.) for the wave-batched bulk
-  operations (floor priming, plane publication, shadow fixpoints), and
-* raw C pointers (:meth:`addr`) for the optional compiled kernel.
-
-Both aliases write through to the same memory, so scalar and vector
-code paths can never disagree.
+cores, while the buffer protocol still gives zero-copy numpy views
+(``vtime_np`` etc.) for the wave-batched bulk operations (floor priming,
+plane publication, shadow fixpoints).  The views write through to the
+same memory, so scalar and vector code paths can never disagree.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ class CoreStateArrays:
         f"{name}_np" for name, _, _ in COLUMNS) + (
         "n", "neighbors",
         "csr_indices", "csr_offsets", "csr_indices_np", "csr_offsets_np",
-        "min_degree", "max_degree",
+        "min_degree",
     )
 
     def __init__(self, n: int, neighbors: Sequence[Sequence[int]]) -> None:
@@ -78,8 +74,7 @@ class CoreStateArrays:
             setattr(self, name, col)
             setattr(self, f"{name}_np",
                     np.frombuffer(col, dtype=_NP_DTYPES[code]))
-        # CSR adjacency (int64 for direct use by numpy gathers and the
-        # compiled kernel alike).
+        # CSR adjacency (int64 for direct use by numpy gathers).
         indices: List[int] = []
         offsets: List[int] = [0]
         for nbrs in self.neighbors:
@@ -90,13 +85,7 @@ class CoreStateArrays:
         self.csr_indices_np = np.frombuffer(self.csr_indices, dtype=np.int64) \
             if indices else np.empty(0, dtype=np.int64)
         self.csr_offsets_np = np.frombuffer(self.csr_offsets, dtype=np.int64)
-        degrees = [len(nbrs) for nbrs in self.neighbors]
-        self.min_degree = min(degrees, default=0)
-        self.max_degree = max(degrees, default=0)
-
-    def addr(self, name: str) -> int:
-        """Raw C address of a column's buffer (for the compiled kernel)."""
-        return getattr(self, name).buffer_info()[0]
+        self.min_degree = min(map(len, self.neighbors), default=0)
 
     def check_view_coherence(self) -> None:
         """Assert every numpy view aliases its backing column bit-exactly.

@@ -157,37 +157,29 @@ class SpatialSync(SyncPolicy):
         if not fabric.active[cid]:
             return True
         if fabric._floor_cache_on:
-            # Cached-floor fast path (vectorized/compiled kernels): the
-            # cache holds a lower bound on the drift floor, so a pass
+            # Cached-floor fast path (fast shadow mode): the cache
+            # holds a lower bound on the drift floor, so a pass
             # against the bound implies a pass against the true floor
             # (the comparison uses the exact same float expression, and
             # x <= lb + T + eps with lb <= floor implies
             # x <= floor + T + eps by IEEE monotonicity).  On a miss the
-            # exact floor is re-derived, cached, and re-tested — so
-            # admissions, and the lock-waiver accounting below, are
-            # bit-identical to the reference path.
+            # exact floor is re-derived below, cached, and re-tested —
+            # so admissions, and the lock-waiver accounting, are
+            # bit-identical to the reference fabric.drift_ok.
             if fabric.vtime[cid] <= fabric._floor_lb[cid] + fabric.T + 1e-9:
                 return True
-            nbrs = fabric._neighbors[cid]
-            if nbrs:
-                floor = min(map(fabric.published.__getitem__, nbrs))
-            else:
-                floor = INF
-            births = fabric._births_min[cid]
-            if births < floor:
-                floor = births
-            fabric._floor_lb[cid] = floor
+        elif fabric._dirty and fabric._exact:
+            fabric._full_recompute()
+        nbrs = fabric._neighbors[cid]
+        if nbrs:
+            floor = min(map(fabric.published.__getitem__, nbrs))
         else:
-            if fabric._dirty and fabric._exact:
-                fabric._full_recompute()
-            nbrs = fabric._neighbors[cid]
-            if nbrs:
-                floor = min(map(fabric.published.__getitem__, nbrs))
-            else:
-                floor = INF
-            births = fabric._births_min[cid]
-            if births < floor:
-                floor = births
+            floor = INF
+        births = fabric._births_min[cid]
+        if births < floor:
+            floor = births
+        # Exact mode never reads the bound, so the store is harmless there.
+        fabric._floor_lb[cid] = floor
         if fabric.vtime[cid] <= floor + fabric.T + 1e-9:
             return True
         if core.locks_held > 0:

@@ -1,8 +1,7 @@
 """Experiment harness: metrics, per-figure runners, text reports."""
 
-from . import ascii_chart, metrics, report, results, sweep, trace
+from . import ascii_chart, metrics, report, results, trace
 from .results import run_record
-from .sweep import sweep as run_sweep, sweep_csv, sweep_table
 from .trace import Tracer
 from .experiments import (
     DEFAULT_SIZES,
@@ -29,10 +28,6 @@ __all__ = [
     "DEFAULT_SIZES",
     "Tracer",
     "ascii_chart",
-    "run_sweep",
-    "sweep",
-    "sweep_csv",
-    "sweep_table",
     "trace",
     "DEFAULT_VALIDATION_SIZES",
     "RunRecord",

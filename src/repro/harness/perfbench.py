@@ -371,18 +371,8 @@ def run_suite(
 
 
 def effective_kernel() -> str:
-    """The engine kernel a default-config run in this process would use.
-
-    Resolves "auto" (environment override or "vectorized") and the
-    compiled->vectorized toolchain fallback, so the recorded value names
-    the kernel that actually executed the suite.
-    """
-    from ..arch.builder import resolve_engine_kernel
-    from ..arch.config import ArchConfig
-    from ..core.kernels import resolve_kernel
-
-    kernel, _note = resolve_kernel(resolve_engine_kernel(ArchConfig()))
-    return kernel
+    # benchmarks/e2e/run.py imports this; records name the one path so.
+    return "vectorized"
 
 
 def make_record(
@@ -397,8 +387,7 @@ def make_record(
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        # Throughput numbers are only comparable within one kernel;
-        # check_regression.py refuses to gate across a mismatch.
+        # Schema-2 metadata; constant now, kept so records stay comparable.
         "engine_kernel": effective_kernel(),
         "repeat": repeat,
         # Sharded-backend entries only beat their serial counterparts

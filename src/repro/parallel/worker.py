@@ -137,11 +137,8 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
     # policy gates nothing, so one run to quiescence is already maximal.
     batch_cap = cfg.round_batch if spatial else 1
     # Plane publication (step 4) is a pure float64 gather/scatter from
-    # the machine's struct-of-arrays plane into the shared board, so the
-    # vectorized path writes bit-identical values; the scalar loop stays
-    # as the reference-kernel path.
+    # the machine's struct-of-arrays plane into the shared board.
     soa = machine.soa
-    vector_pub = machine.engine_kernel != "python"
     owned_idx = np.asarray(owned, dtype=np.intp)
     boundary_idx = np.asarray(boundary, dtype=np.intp)
     counts = board.counts
@@ -213,16 +210,9 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
                 vt_plane = board.vtime
                 act_plane = board.active
                 pub_cur = board.published[cur]
-                if vector_pub:
-                    vt_plane[owned_idx] = soa.vtime_np[owned_idx]
-                    act_plane[owned_idx] = soa.active_np[owned_idx]
-                    pub_cur[boundary_idx] = soa.published_np[boundary_idx]
-                else:
-                    for cid in owned:
-                        vt_plane[cid] = fabric.vtime[cid]
-                        act_plane[cid] = 1 if fabric.active[cid] else 0
-                    for cid in boundary:
-                        pub_cur[cid] = fabric.published[cid]
+                vt_plane[owned_idx] = soa.vtime_np[owned_idx]
+                act_plane[owned_idx] = soa.active_np[owned_idx]
+                pub_cur[boundary_idx] = soa.published_np[boundary_idx]
                 sent = len(outbox)
                 if sent:
                     by_peer: Dict[int, list] = {p: [] for p in peers}

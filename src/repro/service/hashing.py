@@ -17,7 +17,7 @@ result cache:
 * the ``arch`` section resolves to a full ``ArchConfig`` and is reduced
   to its semantic fields by
   :func:`repro.arch.io.config_canonical_dict` (non-semantic knobs —
-  kernel selection, telemetry, sanitizer, label — are excluded; see
+  telemetry, sanitizer, label, worker start method — are excluded; see
   :data:`repro.arch.io.NON_SEMANTIC_FIELDS` for the proof obligations);
 * the ``workload`` section is normalized to its four identity fields
   (``benchmark``, ``scale``, ``seed``, ``root_core``; ``memory`` is

@@ -493,9 +493,8 @@ class JobQueue:
         wl = spec.workload
         workload = get_workload(wl["benchmark"], scale=wl["scale"],
                                 seed=wl["seed"], memory=spec.cfg.memory)
-        # A resume rebuilds from the snapshot's own config: non-semantic
-        # fields (engine kernel, inbox layout) shape the *captured*
-        # state, so the replay machine must match the capturing one.
+        # A resume rebuilds from the snapshot's own (self-describing)
+        # config; it hashes equal to spec.cfg or the path would differ.
         base_cfg = snap.rebuild_config() if snap is not None else spec.cfg
         digest: Optional[str] = None
         if spec.cfg.backend == "sharded":

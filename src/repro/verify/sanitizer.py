@@ -8,9 +8,11 @@ run executes the exact production hot paths.  What it asserts:
     Every positive ``may_run`` answer from a drift-checking policy
     (``SyncPolicy.checks_drift``) is cross-validated against the
     fabric's reference :meth:`~repro.core.fabric.VirtualTimeFabric.drift_ok`.
-    The policy inlines the drift rule for speed (the single hottest call
-    in the engine); this check pins the inlined fast path to the
-    reference semantics on every admission.  Lock holders are exempt
+    The policy inlines the drift rule and answers most calls from a
+    cached lower bound on the drift floor (the single hottest call in
+    the engine; docs/internals.md §8); this check pins that fast path —
+    the same one unsanitized runs take — to the reference semantics on
+    every admission.  Lock holders are exempt
     (the paper's Section II-B waiver) and so are forced waiver slices
     (the sharded escalation ladder's counted accuracy concession).
 ``publish``

@@ -1,7 +1,7 @@
 """Split-run equivalence of the checkpoint subsystem.
 
 The correctness contract under test (docs/checkpoint.md): for any
-workload x backend x engine kernel,
+workload x backend,
 
     run(0..end)  ==  run(0..k); snapshot; restore; run(k..end)
 
@@ -53,9 +53,8 @@ def det(outcome):
 
 
 class TestSerialSplitRun:
-    @pytest.mark.parametrize("kernel", ["python", "vectorized", "compiled"])
-    def test_split_equals_straight_under_every_kernel(self, kernel):
-        cfg = serial_cfg(engine_kernel=kernel)
+    def test_split_equals_straight(self):
+        cfg = serial_cfg()
         straight = run_straight(cfg, QUICKSORT)
         snap, chk, resumed = split_run(cfg, QUICKSORT,
                                        straight["completion"] * 0.4)

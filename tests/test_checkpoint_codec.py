@@ -217,15 +217,14 @@ class TestRngStreamRoundTrip:
         assert list(rng.random(16)) == list(clone.random(16))
 
 
-def _run_partial(inbox_heap, stop, sync="spatial"):
+def _run_partial(stop, sync="spatial"):
     """Stop a messaging-heavy run mid-flight so inboxes hold content."""
     import dataclasses
 
     from repro.arch import build_machine, shared_mesh
     from repro.verify.fuzz_roots import echo, pingpong
 
-    cfg = dataclasses.replace(shared_mesh(9), inbox_heap=inbox_heap,
-                              sync=sync, seed=3)
+    cfg = dataclasses.replace(shared_mesh(9), sync=sync, seed=3)
     machine = build_machine(cfg)
     machine.run_roots(
         [(pingpong(peer=5, rounds=4).root, (), 0),
@@ -236,14 +235,13 @@ def _run_partial(inbox_heap, stop, sync="spatial"):
 
 class TestStateCaptures:
     @pytest.mark.parametrize("sync", ["spatial", "conservative"])
-    @pytest.mark.parametrize("inbox_heap", [False, True])
-    def test_inbox_capture_round_trips(self, inbox_heap, sync):
-        machine = _run_partial(inbox_heap, stop=40.0, sync=sync)
+    def test_inbox_capture_round_trips(self, sync):
+        machine = _run_partial(stop=40.0, sync=sync)
         cap = capture_machine_state(machine)
         det = cap["det"]
         assert det["live_tasks"] == machine.live_tasks
         # some core holds undelivered mail at this stop
-        assert any(c["inbox"] or c["inbox_heap"] for c in det["cores"])
+        assert any(c["inbox"] or c["arrival_heap"] for c in det["cores"])
         again = decode(encode(det))
         assert encode(again) == encode(det)
         assert state_hash(cap) == content_hash(det)
@@ -251,18 +249,15 @@ class TestStateCaptures:
         verify_machine_state(cap, capture_machine_state(machine))
 
     def test_heap_and_deque_captures_differ_structurally(self):
-        # Same program, different inbox layout (conservative sync is
-        # the arrival-ordered-heap user): the captured shapes differ —
-        # layout is part of the machine — and each capture must verify
-        # only against its own layout.
-        cap_deque = capture_machine_state(
-            _run_partial(False, 40.0, sync="conservative"))
+        # Same program, policy-derived inbox layout: only an
+        # arrival-ordered policy (conservative) keeps the heap beside
+        # the FIFO deque, and the capture records which layout ran.
+        cap_deque = capture_machine_state(_run_partial(40.0, sync="spatial"))
         cap_heap = capture_machine_state(
-            _run_partial(True, 40.0, sync="conservative"))
-        assert any(c["inbox_heap"] for c in cap_heap["det"]["cores"])
-        assert not any(c["inbox_heap"] for c in cap_deque["det"]["cores"])
-        with pytest.raises(Exception):
-            verify_machine_state(cap_deque, cap_heap)
+            _run_partial(40.0, sync="conservative"))
+        assert any(c["arrival_heap"] for c in cap_heap["det"]["cores"])
+        assert not any(c["arrival_heap"] for c in cap_deque["det"]["cores"])
+        assert any(c["inbox"] for c in cap_deque["det"]["cores"])
 
     def test_empty_machine_capture(self):
         from repro.arch import build_machine, shared_mesh
@@ -285,7 +280,7 @@ class TestStateCaptures:
         assert encode(decode(encode(cap["det"]))) == encode(cap["det"])
 
     def test_mismatch_is_detected_and_named(self):
-        machine = _run_partial(True, 40.0)
+        machine = _run_partial(40.0)
         cap = capture_machine_state(machine)
         other = decode(encode(cap["det"]))
         other["last_finish_time"] = (other.get("last_finish_time") or 0.0) + 1.0

@@ -63,43 +63,6 @@ def test_identical_reruns_with_stealing():
     assert run_once("octree", cfg, seed=0) == run_once("octree", cfg, seed=0)
 
 
-KERNELS = ("python", "vectorized", "compiled")
-
-#: Seeded configs spanning the sync policies, memory models and drift
-#: regimes whose admission decisions the kernels fast-path.
-KERNEL_SWEEP = [
-    ("quicksort", dataclasses.replace(shared_mesh(16)), 3),
-    ("dijkstra", dataclasses.replace(dist_mesh(9)), 1),
-    ("octree", dataclasses.replace(shared_mesh(16), sync="conservative"), 0),
-    ("octree", dataclasses.replace(shared_mesh(16), sync="laxp2p"), 0),
-    ("connected_components",
-     dataclasses.replace(shared_mesh(16), drift_bound=1e9), 2),
-    ("quicksort",
-     dataclasses.replace(shared_mesh(16), work_stealing=True), 5),
-]
-
-
-@pytest.mark.parametrize("case", range(len(KERNEL_SWEEP)),
-                         ids=lambda i: "-".join(
-                             (KERNEL_SWEEP[i][0], KERNEL_SWEEP[i][1].sync,
-                              str(KERNEL_SWEEP[i][2]))))
-def test_engine_kernels_bit_identical(case):
-    """python/vectorized/compiled kernels agree on every observable.
-
-    The SoA fast paths (cached drift floors, wave priming, native relax)
-    must be bit-identical to the reference loops — not merely close:
-    the golden numbers, trace digests and the differential fuzzer all
-    assume one canonical result per (config, seed).
-    """
-    name, cfg, seed = KERNEL_SWEEP[case]
-    runs = {
-        kernel: run_once(
-            name, dataclasses.replace(cfg, engine_kernel=kernel), seed)
-        for kernel in KERNELS
-    }
-    assert runs["python"] == runs["vectorized"] == runs["compiled"]
-
-
 def test_machine_seed_controls_branch_sampling():
     """Different machine seeds resample probabilistic branch outcomes."""
     a = build_machine(dataclasses.replace(shared_mesh(4), seed=1))

@@ -35,20 +35,23 @@ GOLDEN_RUNS = (
 )
 
 
-def run_golden(benchmark, memory, sync, cores, scale, seed):
-    """Run one configuration and distil the golden observables."""
+def golden_machine(benchmark, memory, sync, cores, scale, seed, **overrides):
+    """Run one configuration to completion; returns the finished machine."""
     if memory == "shared":
         cfg = shared_mesh(cores)
     elif memory == "numa":
         cfg = numa_mesh(cores)
     else:
         cfg = dist_mesh(cores)
-    cfg = dataclasses.replace(cfg, sync=sync, seed=seed)
+    cfg = dataclasses.replace(cfg, sync=sync, seed=seed, **overrides)
     workload = get_workload(benchmark, scale=scale, seed=seed, memory=memory)
     machine = build_machine(cfg)
     result = machine.run(workload.root)
     workload.verify(result["output"])
-    stats = machine.stats
+    return machine
+
+
+def _observables(stats):
     return {
         "completion_vtime": stats.completion_vtime,
         "drift_stalls": stats.drift_stalls,
@@ -61,6 +64,11 @@ def run_golden(benchmark, memory, sync, cores, scale, seed):
             if count
         },
     }
+
+
+def run_golden(*run):
+    """Run one configuration and distil the golden observables."""
+    return _observables(golden_machine(*run).stats)
 
 
 # Captured from the seed engine (commit 719504d) — see module docstring.
@@ -168,6 +176,20 @@ def test_golden_numbers(run):
     assert got == EXPECTED[key]
 
 
+@pytest.mark.parametrize(
+    "run", [r for r in GOLDEN_RUNS if r[2] == "spatial"],
+    ids=lambda r: "-".join(map(str, r[:4])))
+def test_golden_numbers_sanitized_on_the_shipped_path(run):
+    """``sanitize`` must not change which admission code runs: the floor
+    cache stays armed, every cached-floor admission is re-validated
+    against the reference ``fabric.drift_ok`` (the standing differential
+    test of the fast path), and the goldens do not move."""
+    machine = golden_machine(*run, sanitize=True)
+    assert machine.fabric._floor_cache_on
+    assert machine.sanitizer.checks["drift-admission"] > 0
+    assert _observables(machine.stats) == EXPECTED["-".join(map(str, run))]
+
+
 # -- sharded backend ------------------------------------------------------
 #
 # The sharded backend must produce bit-identical results to the serial
@@ -203,21 +225,6 @@ def _sharded_specs(memory):
                      root_core=core)
         for i, (bench, core) in enumerate(SHARD_ROOTS)
     ]
-
-
-def _observables(stats):
-    return {
-        "completion_vtime": stats.completion_vtime,
-        "drift_stalls": stats.drift_stalls,
-        "actions": stats.actions,
-        "messages": {
-            kind.value: count
-            for kind, count in sorted(
-                stats.messages_by_kind.items(), key=lambda kv: kv[0].value
-            )
-            if count
-        },
-    }
 
 
 def run_sharded_golden(sync, drift, memory):

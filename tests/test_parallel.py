@@ -466,6 +466,34 @@ def test_adaptive_window_widens_on_quiet_mesh():
     workload.verify(adaptive_results[0]["output"])
 
 
+def test_sharded_bytes_shipped_counts_cross_shard_traffic():
+    """Cross-shard USER traffic must surface in protocol byte counters
+    (the sharded bench entry reports these; they read zero for fenced
+    loads, which hid a wiring question — pin the working path)."""
+    cfg = dataclasses.replace(shared_mesh(16), shards=2, backend="sharded")
+    backend = build_backend(cfg)
+    results = backend.run_workloads([
+        WorkloadSpec("", root_core=0, factory="parallel_roots:pingpong",
+                     kwargs={"peer": 12, "rounds": 3}),
+        WorkloadSpec("", root_core=12, factory="parallel_roots:echo",
+                     kwargs={"rounds": 3}),
+    ])
+    assert results == [[1, 11, 21], "echoed"]
+    proto = backend.protocol
+    assert proto["bytes_shipped"] > 0
+    assert set(proto["bytes_by_edge"]) == {"0->1", "1->0"}
+    assert all(v > 0 for v in proto["bytes_by_edge"].values())
+    assert proto["bytes_shipped"] == sum(proto["bytes_by_edge"].values())
+
+
+def test_bench_sharded_entry_reports_traffic():
+    from repro.harness.perfbench import _bench_e2e_sharded
+
+    res = _bench_e2e_sharded(scale="tiny", chat_rounds=2)
+    assert res["bytes_shipped"] > 0
+    assert res["bytes_by_edge"]
+
+
 def test_worker_start_methods_agree():
     # fork and spawn workers must produce identical runs; skip methods
     # the host does not offer (e.g. no fork on Windows).

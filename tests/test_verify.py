@@ -78,16 +78,49 @@ class TestSanitizerCleanRuns:
         machine = build_machine(shared_mesh(4))
         assert machine.sanitizer is None
 
+    def test_sanitizer_checks_the_admission_path_that_ships(self):
+        """The cached drift floor is armed from the shadow mode alone —
+        ``sanitize`` must not switch admission code."""
+        assert sanitized_machine(16).fabric._floor_cache_on is True
+        assert build_machine(shared_mesh(16)).fabric._floor_cache_on is True
+        for sanitize in (False, True):
+            exact = build_machine(dataclasses.replace(
+                shared_mesh(16), shadow_mode="exact", sanitize=sanitize))
+            assert exact.fabric._floor_cache_on is False
+
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork workers")
-    def test_sharded_clean_run_passes_with_sanitizer(self):
-        cfg = dataclasses.replace(
-            shared_mesh(8), backend="sharded", shards=2, sanitize=True,
-            worker_start_method="fork")
-        backend = build_backend(cfg)
-        (result,) = backend.run_workloads(
-            [WorkloadSpec("quicksort", scale="tiny", root_core=0)])
-        get_workload("quicksort", scale="tiny", seed=0).verify(
-            result["output"])
+    def test_sharded_clean_run_passes_with_sanitizer(self, monkeypatch):
+        from repro.verify.sanitizer import Sanitizer
+
+        # Fork workers inherit this patch: at each round start a worker
+        # records its drift-admission count so far in shared memory, so
+        # the test can see that both shards cross-checked admissions.
+        admissions = multiprocessing.get_context("fork").Array("q", 2)
+        begin_round = Sanitizer.begin_round
+
+        def recording_begin_round(self, lift, window_max_factor):
+            shard = 0 if 0 in self.machine._owned else 1
+            admissions[shard] = self.checks["drift-admission"]
+            begin_round(self, lift, window_max_factor)
+
+        monkeypatch.setattr(Sanitizer, "begin_round", recording_begin_round)
+        specs = [WorkloadSpec("quicksort", scale="tiny", root_core=0),
+                 WorkloadSpec("dijkstra", scale="tiny", root_core=4)]
+        runs = {}
+        for sanitize in (False, True):
+            cfg = dataclasses.replace(
+                shared_mesh(8), backend="sharded", shards=2,
+                sanitize=sanitize, worker_start_method="fork")
+            backend = build_backend(cfg)
+            results = backend.run_workloads(specs)
+            runs[sanitize] = (results, backend.stats.completion_vtime,
+                              backend.stats.drift_stalls,
+                              backend.stats.actions)
+        for spec, result in zip(specs, runs[True][0]):
+            get_workload(spec.benchmark, scale="tiny", seed=0).verify(
+                result["output"])
+        assert all(count > 0 for count in admissions), list(admissions)
+        assert runs[True] == runs[False]  # observation-only when sharded
 
 
 # -- sanitizer: violation checks ------------------------------------------
