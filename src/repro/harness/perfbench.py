@@ -3,8 +3,9 @@
 The paper's headline claim is raw simulation speed, so the repo keeps a
 machine-readable record of engine throughput in ``BENCH_engine.json`` at
 the repository root.  The suite measures the individually-optimised layers
-(engine step dispatch, compute fusion, messaging, virtual-time fabric) plus
-one end-to-end dwarf per memory model on the Fig. 7 style 64-core machine.
+(engine step dispatch, compute fusion, messaging, virtual-time fabric,
+route resolution) plus one end-to-end dwarf per memory model on the
+Fig. 7 style 64-core machine.
 
 Every benchmark reports:
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
@@ -31,6 +33,7 @@ import numpy as np
 from ..arch import build_machine, dist_mesh, numa_mesh, shared_mesh
 from ..core.fabric import VirtualTimeFabric
 from ..core.task import TaskGroup
+from ..network.routing import RoutingTable
 from ..network.topology import square_mesh
 from ..workloads import get_workload
 
@@ -173,6 +176,34 @@ def bench_fabric_refresh(n_cores: int = 1024, rounds: int = 40) -> Dict[str, flo
     return {"wall_s": wall, "events": events}
 
 
+def bench_route_resolution(n_cores: int = 1024, few: int = 48,
+                           far_each: int = 128, many: int = 400,
+                           near_each: int = 4) -> Dict[str, float]:
+    """Route resolution on a fresh routing table of the 32x32 mesh.
+
+    The pair list (seeded, fixed) has the two shapes 1024-core runs ask
+    for: ``few`` sources each reaching ``far_each`` cores anywhere on the
+    mesh (dijkstra/numa: a handful of owners answer everyone), then
+    ``many`` sources each reaching ``near_each`` (connected_components/
+    distributed: most cores talk, each to a few).  ``trees`` is the
+    deterministic number of per-source searches the pairs started.
+    """
+    rng = random.Random(0)
+    pairs = []
+    for n_sources, each in ((few, far_each), (many, near_each)):
+        for src in rng.sample(range(n_cores), n_sources):
+            pairs += [(src, dst) for dst in rng.sample(range(n_cores), each)
+                      if dst != src]
+    topo = square_mesh(n_cores)
+    t0 = time.perf_counter()
+    routing = RoutingTable(topo)
+    for src, dst in pairs:
+        routing.route(src, dst)
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "events": len(pairs),
+            "trees": routing.trees_built}
+
+
 def _bench_e2e(benchmark: str, memory: str, n_cores: int = 64,
                scale: str = "medium", seed: int = 0) -> Dict[str, float]:
     """One end-to-end dwarf on the Fig. 7 style 64-core machine."""
@@ -294,6 +325,10 @@ SUITE: Dict[str, tuple] = {
     "messages": (bench_messages, {"rounds": 80}),
     "fabric_advances": (bench_fabric_advances, {"rounds": 6}),
     "fabric_refresh": (bench_fabric_refresh, {"rounds": 4}),
+    "route_resolution_1024": (
+        bench_route_resolution,
+        {"few": 6, "far_each": 32, "many": 40},
+    ),
     "e2e_quicksort_shared_64": (
         lambda **kw: _bench_e2e("quicksort", "shared", **kw),
         {"scale": "small"},

@@ -78,7 +78,7 @@ class Noc:
         # latency and serialization link are resolved once per pair
         # instead of per message.
         self._route_cache: Dict[Tuple[int, int], tuple] = {}
-        self._min_latency_cache: Dict[Tuple[int, int], float] = {}
+        self._min_latency_memo: Dict[Tuple[int, int], float] = {}
         self.stats = NocStats()
 
     def _link(self, u: int, v: int) -> Link:
@@ -93,10 +93,9 @@ class Noc:
     def _route(self, src: int, dst: int) -> tuple:
         """Resolve (links, hops, base_latency, serialization_link) once
         per (src, dst) pair; the route is static for a simulation."""
-        path = self.routing.path(src, dst)
+        path, latency = self.routing.route(src, dst)
         links = tuple(self._link(u, v) for u, v in zip(path, path[1:]))
-        hops = len(path) - 1
-        entry = (links, hops, self.routing.path_latency(src, dst), links[0])
+        entry = (links, len(path) - 1, latency, links[0])
         self._route_cache[(src, dst)] = entry
         return entry
 
@@ -146,12 +145,11 @@ class Noc:
         if src == dst:
             return 0.0
         key = (src, dst)
-        cached = self._min_latency_cache.get(key)
+        cached = self._min_latency_memo.get(key)
         if cached is None:
-            hops = self.routing.hop_count(src, dst)
-            cached = (self.routing.path_latency(src, dst)
-                      + self.router_penalty * hops)
-            self._min_latency_cache[key] = cached
+            path, latency = self.routing.route(src, dst)
+            cached = latency + self.router_penalty * (len(path) - 1)
+            self._min_latency_memo[key] = cached
         return cached
 
     def reset(self) -> None:

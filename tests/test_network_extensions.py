@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network.link import LinkSpec
 from repro.network.noc import Noc
 from repro.network.routing import RoutingTable, XYRouting
 from repro.network.topology import hierarchical_mesh, mesh2d
@@ -32,6 +33,22 @@ class TestXYRouting:
         # XY routes never move in Y before X is resolved.
         path = routing.path(0, 5)
         assert path == (0, 1, 5)
+
+    def test_next_hop_follows_the_xy_path(self):
+        routing = XYRouting(mesh2d(4, 4), width=4)
+        # 8 (0,2) -> 2 (2,0): the shortest-path tree of core 8 goes up
+        # first (next hop 4); XY goes along the row first.
+        assert routing.path(8, 2) == (8, 9, 10, 6, 2)
+        assert routing.next_hop(8, 2) == 9
+        assert routing.next_hop(7, 7) == 7
+
+    def test_latency_is_summed_along_the_xy_path(self):
+        topo = mesh2d(2, 2)
+        topo.add_link(0, 1, LinkSpec(latency=8.0))  # slow top row
+        xy = XYRouting(topo, width=2)
+        assert xy.path(0, 3) == (0, 1, 3)
+        assert xy.path_latency(0, 3) == 9.0
+        assert RoutingTable(topo).path_latency(0, 3) == 2.0
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
