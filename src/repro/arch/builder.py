@@ -138,6 +138,10 @@ def build_machine(cfg: ArchConfig) -> Machine:
         from ..verify.sanitizer import Sanitizer
 
         Sanitizer(machine)
+    if cfg.collect_trace:
+        from ..harness.trace import Tracer
+
+        machine.tracer = Tracer(machine)
     return machine
 
 
@@ -145,15 +149,20 @@ def build_backend(cfg: ArchConfig):
     """Build the execution backend ``cfg.backend`` selects.
 
     Returns a serial :class:`~repro.core.engine.Machine` or a
-    :class:`~repro.parallel.coordinator.ShardedMachine`; both expose
-    ``run_workloads(...)`` / ``stats``, so callers can treat the result
-    uniformly.  The sharded backend additionally requires picklable
-    workload *specs* (it rebuilds roots inside each worker), hence the
-    distinct entry point rather than ``run(root_fn)``.
+    :class:`~repro.parallel.coordinator.ShardedMachine`.  Both expose
+    the same execution surface — ``run_workloads(specs, timeout, *,
+    checkpoint_every, checkpoint_sink, verify_at, verify_states)`` plus
+    ``stats``, ``trace``, ``protocol`` (``None`` on serial) and
+    ``boundary_unit`` — so callers never branch on the backend.  Specs
+    are picklable :class:`~repro.parallel.WorkloadSpec` objects (the
+    sharded backend rebuilds roots inside each worker), hence this
+    entry point rather than ``run(root_fn)``.
 
-    This is the single execution entry shared by ``python -m repro run``
-    and the job queue behind ``python -m repro serve`` — the service
-    adds queuing and caching around it but never its own semantics.
+    ``build_backend(cfg).run_workloads(...)`` is the one way
+    ``python -m repro run``, the checkpoint drivers, the fuzzer and the
+    job queue behind ``python -m repro serve`` execute a spec — the
+    service adds queuing and caching around it but never its own
+    semantics.
     Note that ``cfg.backend`` (and the sharding knobs it activates) is
     *semantic* for result identity: serial and sharded trajectories may
     legitimately differ for runs with cross-shard traffic, so the
@@ -163,9 +172,12 @@ def build_backend(cfg: ArchConfig):
 
         import dataclasses
         from repro.arch import build_backend, shared_mesh
+        from repro.parallel import WorkloadSpec
         cfg = dataclasses.replace(shared_mesh(16), shards=2,
                                   backend="sharded")
         backend = build_backend(cfg)
+        results = backend.run_workloads(
+            [WorkloadSpec("quicksort", scale="tiny", root_core=0)])
     """
     if cfg.backend == "sharded":
         from ..parallel.coordinator import ShardedMachine

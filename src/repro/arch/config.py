@@ -125,9 +125,10 @@ class ArchConfig:
     # protocol all assert continuously, raising SanitizerViolation on the
     # first breach.  Costs ~2x; compute fusion is disabled while checking
     # (fused and unfused execution are bit-identical, so timing results
-    # do not change).  ``collect_trace`` makes the sharded backend attach
-    # a Tracer inside each worker and ship the merged trace back as
-    # ``backend.trace`` for canonical digesting.
+    # do not change).  ``collect_trace`` attaches a harness Tracer to
+    # every machine the build produces (each shard worker's included);
+    # the finished run's (merged) trace is ``backend.trace``, ready for
+    # canonical digesting.
     sanitize: bool = False
     collect_trace: bool = False
 

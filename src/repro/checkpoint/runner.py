@@ -22,7 +22,10 @@ fails loudly instead of silently producing wrong numbers.
 Boundaries are the backends' natural safe points: a ``stop_at_vtime``
 return for the serial engine (no slice in flight) and a coordination
 round barrier for the sharded backend (workers blocked on the next
-command).
+command).  Both backends take the same ``run_workloads`` checkpoint and
+verify hooks and name their boundary unit (``backend.boundary_unit``),
+so every driver here is backend-agnostic: :func:`checkpoint_kwargs` is
+the one place that maps :class:`Snapshot` objects onto those hooks.
 
 Limitations, by design: restoring onto a different shard count fails
 loudly (the coordinator refuses mismatched state lists), and
@@ -35,238 +38,121 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..arch.builder import build_backend, build_machine
+from ..arch.builder import build_backend
 from ..arch.config import ArchConfig
+from ..harness.trace import trace_digest
 from ..parallel.channels import WorkloadSpec
 from .codec import CheckpointError
 from .snapshot import Snapshot, load_snapshot, make_snapshot
-from .state import capture_machine_state, verify_machine_state
 
 #: Keys of the round-protocol dict that are host observations (wall
 #: clock), excluded from deterministic outcome comparison.
 _HOST_PROTOCOL_KEYS = ("worker_busy_s", "parallel_efficiency")
 
 
-# -- outcome documents --------------------------------------------------------
+def checkpoint_kwargs(backend, cfg: ArchConfig,
+                      specs: Sequence[WorkloadSpec], *,
+                      every=None,
+                      sink: Optional[Callable[[Snapshot], None]] = None,
+                      resume: Optional[Snapshot] = None,
+                      note: str = "") -> Dict:
+    """``backend.run_workloads`` keyword arguments for a checkpointing
+    and/or resuming run (empty for a straight one).
 
-def _resolve_roots(specs: Sequence[WorkloadSpec]):
-    return [(spec.resolve().root, (), spec.root_core) for spec in specs]
+    With ``every``, ``sink`` receives a fresh :class:`Snapshot` at each
+    boundary the run crosses with work still live — every that-many
+    ``backend.boundary_unit``s (virtual-time cycles serial, coordination
+    rounds sharded).  With ``resume``, the run replays to the snapshot's
+    boundary and must match its captured state bit-for-bit before
+    continuing; the shard count is the snapshot's (the coordinator
+    refuses a state list that does not match its partition).
+    """
+    kwargs: Dict = {}
+    if every is not None:
+        if every <= 0:
+            raise CheckpointError(
+                f"checkpoint interval must be > 0, got {every}")
+
+        def checkpoint_sink(boundary, states: List[dict]) -> None:
+            sink(make_snapshot(
+                cfg.backend, cfg, specs,
+                {"kind": backend.boundary_unit, "value": boundary},
+                states, note=note))
+
+        kwargs.update(checkpoint_every=every, checkpoint_sink=checkpoint_sink)
+    if resume is not None:
+        if resume.kind != cfg.backend:
+            raise CheckpointError(
+                f"snapshot kind {resume.kind!r} cannot restore on the "
+                f"{cfg.backend} backend")
+        kwargs.update(verify_at=resume.boundary["value"],
+                      verify_states=resume.states)
+    return kwargs
 
 
-def _build_serial(cfg: ArchConfig):
-    machine = build_machine(cfg)
-    tracer = None
-    if cfg.collect_trace:
-        from ..harness.trace import Tracer
-
-        tracer = Tracer(machine)
-    return machine, tracer
-
-
-def _serial_outcome(machine, tracer, results) -> Dict:
-    stats = machine.stats.as_dict()
-    host = {"wall_seconds": stats.pop("wall_seconds", 0.0)}
-    digest = None
-    if tracer is not None:
-        from ..harness.trace import trace_digest
-
-        digest = trace_digest(tracer.export())
-    return {
-        "backend": "serial",
-        "results": results,
-        "digest": digest,
-        "completion": machine.stats.completion_vtime,
-        "messages": {k.name: v
-                     for k, v in machine.stats.messages_by_kind.items()},
-        "stats_vt": stats,
-        "host": host,
-    }
-
-
-def _sharded_outcome(backend, results) -> Dict:
+def _run(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
+         timeout: Optional[float], **checkpointing) -> Dict:
+    """Run ``specs`` on ``cfg``'s backend; return the outcome document."""
+    specs = list(specs)
+    backend = build_backend(cfg)
+    results = backend.run_workloads(
+        specs, timeout=timeout,
+        **checkpoint_kwargs(backend, cfg, specs, **checkpointing))
     stats = backend.stats.as_dict()
     host = {"wall_seconds": stats.pop("wall_seconds", 0.0)}
-    protocol = dict(backend.protocol)
-    for key in _HOST_PROTOCOL_KEYS:
-        host[key] = protocol.pop(key, None)
-    digest = None
-    if backend.trace is not None:
-        from ..harness.trace import trace_digest
-
-        digest = trace_digest(backend.trace)
-    return {
-        "backend": "sharded",
+    trace = backend.trace
+    outcome = {
+        "backend": cfg.backend,
         "results": results,
-        "digest": digest,
+        "digest": None if trace is None else trace_digest(trace),
         "completion": backend.stats.completion_vtime,
         "messages": {k.name: v
                      for k, v in backend.stats.messages_by_kind.items()},
         "stats_vt": stats,
-        "protocol": protocol,
         "host": host,
     }
+    if backend.protocol is not None:
+        protocol = dict(backend.protocol)
+        for key in _HOST_PROTOCOL_KEYS:
+            host[key] = protocol.pop(key, None)
+        outcome["protocol"] = protocol
+    return outcome
 
 
 def run_straight(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
                  timeout: Optional[float] = 300.0) -> Dict:
     """Uninterrupted reference run; returns the outcome document."""
-    specs = list(specs)
-    if cfg.backend == "sharded":
-        backend = build_backend(cfg)
-        results = backend.run_workloads(specs, timeout=timeout)
-        return _sharded_outcome(backend, results)
-    machine, tracer = _build_serial(cfg)
-    results = machine.run_roots(_resolve_roots(specs))
-    return _serial_outcome(machine, tracer, results)
-
-
-# -- checkpointing runs -------------------------------------------------------
-
-def run_serial_checkpointed(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
-                            every: float,
-                            sink: Callable[[Snapshot], None]) -> Dict:
-    """Serial run that snapshots every ``every`` virtual-time cycles.
-
-    ``sink`` receives a fresh :class:`Snapshot` at each boundary the
-    run crosses with work still live; checkpointing is observation-only
-    (the outcome is bit-identical to :func:`run_straight`).
-    """
-    if every <= 0:
-        raise CheckpointError(f"checkpoint interval must be > 0, got {every}")
-    specs = list(specs)
-    machine, tracer = _build_serial(cfg)
-    k = float(every)
-    results = machine.run_roots(_resolve_roots(specs), stop_at_vtime=k)
-    while machine.live_tasks > 0:
-        sink(make_snapshot("serial", cfg, specs,
-                           {"kind": "vtime", "value": k},
-                           [capture_machine_state(machine)]))
-        # Skip boundaries the last segment overshot, so every snapshot
-        # captures fresh progress.
-        while k <= machine.fabric.max_vtime:
-            k += every
-        results = machine.resume_run(stop_at_vtime=k)
-    return _serial_outcome(machine, tracer, results)
-
-
-def run_sharded_checkpointed(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
-                             every: int, sink: Callable[[Snapshot], None],
-                             timeout: Optional[float] = 300.0) -> Dict:
-    """Sharded run that snapshots every ``every`` coordination rounds."""
-    specs = list(specs)
-    backend = build_backend(cfg)
-
-    def board_sink(round_no: int, states: List[dict]) -> None:
-        sink(make_snapshot("sharded", cfg, specs,
-                           {"kind": "round", "value": round_no}, states))
-
-    results = backend.run_workloads(specs, timeout=timeout,
-                                    checkpoint_every=int(every),
-                                    checkpoint_sink=board_sink)
-    return _sharded_outcome(backend, results)
+    return _run(cfg, specs, timeout)
 
 
 def run_checkpointed(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
                      every, sink: Callable[[Snapshot], None],
                      timeout: Optional[float] = 300.0) -> Dict:
-    """Backend-dispatching checkpointed run (interval in virtual-time
-    cycles for serial, coordination rounds for sharded)."""
-    if cfg.backend == "sharded":
-        return run_sharded_checkpointed(cfg, specs, int(every), sink,
-                                        timeout=timeout)
-    return run_serial_checkpointed(cfg, specs, float(every), sink)
-
-
-# -- restore / resume ---------------------------------------------------------
-
-def restore_serial(snap: Snapshot):
-    """Rebuild + replay a serial snapshot to its boundary, bit-verified.
-
-    Returns ``(machine, tracer, specs)`` stopped exactly at the
-    boundary, ready for ``machine.resume_run()``.
-    """
-    if snap.kind != "serial":
-        raise CheckpointError(
-            f"snapshot kind {snap.kind!r} cannot restore on the serial "
-            "backend")
-    cfg = snap.rebuild_config()
-    specs = snap.rebuild_workloads()
-    machine, tracer = _build_serial(cfg)
-    k = float(snap.boundary["value"])
-    machine.run_roots(_resolve_roots(specs), stop_at_vtime=k)
-    verify_machine_state(snap.states[0], capture_machine_state(machine))
-    return machine, tracer, specs
-
-
-def resume_serial(snap: Snapshot, *,
-                  checkpoint_every: Optional[float] = None,
-                  sink: Optional[Callable[[Snapshot], None]] = None) -> Dict:
-    """Restore a serial snapshot and run to completion.
-
-    With ``checkpoint_every``/``sink``, checkpointing continues past the
-    boundary (boundaries advance from the snapshot's one).
-    """
-    machine, tracer, specs = restore_serial(snap)
-    cfg = snap.rebuild_config()
-    if checkpoint_every:
-        every = float(checkpoint_every)
-        k = float(snap.boundary["value"])
-        while k <= machine.fabric.max_vtime:
-            k += every
-        results = machine.resume_run(stop_at_vtime=k)
-        while machine.live_tasks > 0:
-            sink(make_snapshot("serial", cfg, specs,
-                               {"kind": "vtime", "value": k},
-                               [capture_machine_state(machine)]))
-            while k <= machine.fabric.max_vtime:
-                k += every
-            results = machine.resume_run(stop_at_vtime=k)
-    else:
-        results = machine.resume_run()
-    return _serial_outcome(machine, tracer, results)
-
-
-def resume_sharded(snap: Snapshot, *,
-                   checkpoint_every: Optional[int] = None,
-                   sink: Optional[Callable[[Snapshot], None]] = None,
-                   timeout: Optional[float] = 300.0) -> Dict:
-    """Restore a sharded snapshot (verified replay at the round barrier)
-    and run to completion on a fresh worker pool.
-
-    The shard count is the snapshot's; the coordinator refuses a state
-    list that does not match its partition, so restoring onto a
-    different shard count fails loudly rather than approximately.
-    """
-    if snap.kind != "sharded":
-        raise CheckpointError(
-            f"snapshot kind {snap.kind!r} cannot restore on the sharded "
-            "backend")
-    cfg = snap.rebuild_config()
-    specs = snap.rebuild_workloads()
-    backend = build_backend(cfg)
-    board_sink = None
-    if checkpoint_every:
-        def board_sink(round_no: int, states: List[dict]) -> None:
-            sink(make_snapshot("sharded", cfg, specs,
-                               {"kind": "round", "value": round_no}, states))
-    results = backend.run_workloads(
-        specs, timeout=timeout,
-        verify_round=int(snap.boundary["value"]),
-        verify_states=snap.states,
-        checkpoint_every=int(checkpoint_every) if checkpoint_every else None,
-        checkpoint_sink=board_sink)
-    return _sharded_outcome(backend, results)
+    """Run that hands ``sink`` a :class:`Snapshot` every ``every``
+    boundary units (virtual-time cycles serial, coordination rounds
+    sharded).  Checkpointing is observation-only: the outcome is
+    bit-identical to :func:`run_straight`."""
+    return _run(cfg, specs, timeout, every=every, sink=sink)
 
 
 def resume_run(snap, *, checkpoint_every=None, sink=None,
                timeout: Optional[float] = 300.0) -> Dict:
-    """Resume a snapshot (object or file path) on its own backend."""
+    """Restore a snapshot (object or file path) by verified replay on
+    its own backend and run to completion.
+
+    With ``checkpoint_every``/``sink``, checkpointing continues past
+    the snapshot's boundary.
+    """
     if isinstance(snap, str):
         snap = load_snapshot(snap)
-    if snap.kind == "sharded":
-        return resume_sharded(snap, checkpoint_every=checkpoint_every,
-                              sink=sink, timeout=timeout)
-    return resume_serial(snap, checkpoint_every=checkpoint_every, sink=sink)
+    return _run(snap.rebuild_config(), snap.rebuild_workloads(), timeout,
+                every=checkpoint_every, sink=sink, resume=snap)
+
+
+#: Names ``benchmarks/e2e/layers.py`` imports; the drivers they are
+#: bound to serve either backend.
+run_serial_checkpointed = run_checkpointed
+resume_serial = resume_run
 
 
 # -- split-run equivalence (fuzzing / CI) -------------------------------------

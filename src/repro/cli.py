@@ -34,7 +34,6 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .arch import (
-    build_machine,
     clustered_dist,
     dist_mesh,
     numa_mesh,
@@ -42,7 +41,7 @@ from .arch import (
     polymorphic_shared,
     shared_mesh,
 )
-from .workloads import BENCHMARKS, SCALE_PARAMS, get_workload
+from .workloads import BENCHMARKS, SCALE_PARAMS
 
 #: Figure/table sweeps available to the ``sweep`` subcommand.
 SWEEPS = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
@@ -313,8 +312,8 @@ def _make_config(args):
         except ValueError as exc:
             raise SystemExit(str(exc))
         overrides["telemetry"] = telemetry
-        if "timeline" in parts and args.backend == "sharded":
-            # Workers only record spans when the machine collects traces.
+        if "timeline" in parts:
+            # Machines only record spans when they collect traces.
             overrides["collect_trace"] = True
     return dataclasses.replace(
         cfg, drift_bound=args.drift, sync=args.sync, dispatch=args.dispatch,
@@ -323,32 +322,20 @@ def _make_config(args):
     )
 
 
-def _cmd_run_checkpoint(args, out) -> int:
-    """``run`` in checkpoint/resume mode (repro.checkpoint drivers)."""
-    from .checkpoint import (load_snapshot, resume_run, run_checkpointed,
-                             save_snapshot)
+def _cmd_run(args, out) -> int:
+    from .arch import build_backend
+    from .checkpoint import checkpoint_kwargs, load_snapshot, save_snapshot
     from .parallel import WorkloadSpec
 
-    path = args.checkpoint
-    if args.checkpoint_every is not None and not path:
+    if args.checkpoint_every is not None and not args.checkpoint:
         raise SystemExit("--checkpoint-every requires --checkpoint PATH")
-    written = [0]
-
-    def sink(snap):
-        save_snapshot(snap, path)
-        written[0] += 1
-
+    snap = None
     if args.resume:
         snap = load_snapshot(args.resume)
-        boundary = snap.boundary
+        cfg, specs = snap.rebuild_config(), snap.rebuild_workloads()
         print(f"resuming {snap.kind} run from {args.resume} at "
-              f"{boundary['kind']} {boundary['value']:g} "
+              f"{snap.boundary['kind']} {snap.boundary['value']:g} "
               f"(verified replay)", file=out)
-        outcome = resume_run(
-            args.resume,
-            checkpoint_every=args.checkpoint_every,
-            sink=sink if args.checkpoint_every is not None else None)
-        specs = snap.rebuild_workloads()
     else:
         if args.benchmark is None:
             raise SystemExit("run: benchmark is required unless --resume")
@@ -356,100 +343,48 @@ def _cmd_run_checkpoint(args, out) -> int:
         specs = [WorkloadSpec(args.benchmark, scale=args.scale,
                               seed=args.seed, memory=cfg.memory,
                               root_core=0)]
-        outcome = run_checkpointed(cfg, specs, args.checkpoint_every, sink)
+    written = []
 
-    verified = False
-    spec = specs[0]
-    result = outcome["results"][0]
-    if not spec.factory:
-        workload = get_workload(spec.benchmark, scale=spec.scale,
-                                seed=spec.seed, memory=spec.memory)
+    def sink(snapshot):
+        written.append(save_snapshot(snapshot, args.checkpoint))
+
+    backend = build_backend(cfg)
+    if cfg.backend == "sharded":
+        print(backend.describe(), file=out)
+    results = backend.run_workloads(
+        specs, **checkpoint_kwargs(backend, cfg, specs,
+                                   every=args.checkpoint_every, sink=sink,
+                                   resume=snap))
+    stats = backend.stats
+    spec, result = specs[0], results[0]
+    vtime = stats.completion_vtime
+    verified = not spec.factory  # registered benchmarks check themselves
+    if verified:
+        workload = spec.resolve()
         workload.verify(result["output"])
-        verified = True
+        vtime = result["work_vtime"]
         print(f"benchmark        : {spec.benchmark} {workload.meta}",
               file=out)
-    print(f"virtual time     : {outcome['completion']:.1f} cycles",
-          file=out)
-    print(f"tasks started    : {outcome['stats_vt']['tasks_started']}",
-          file=out)
-    print(f"messages         : {sum(outcome['messages'].values())}",
-          file=out)
-    print(f"host wall        : {outcome['host']['wall_seconds']:.3f} s",
-          file=out)
-    if written[0]:
-        print(f"checkpoints      : {written[0]} written -> {path}",
-              file=out)
-    if verified:
-        print("output verified  : yes", file=out)
-    return 0
-
-
-def _cmd_run(args, out) -> int:
-    if args.resume or args.checkpoint_every is not None:
-        return _cmd_run_checkpoint(args, out)
-    if args.benchmark is None:
-        raise SystemExit("run: benchmark is required unless --resume")
-    cfg = _make_config(args)
-    workload = get_workload(args.benchmark, scale=args.scale, seed=args.seed,
-                            memory=cfg.memory)
-    timeline = None
-    if cfg.backend == "sharded":
-        from .arch import build_backend
-        from .parallel import WorkloadSpec
-
-        backend = build_backend(cfg)
-        print(backend.describe(), file=out)
-        (result,) = backend.run_workloads([
-            WorkloadSpec(args.benchmark, scale=args.scale, seed=args.seed,
-                         memory=cfg.memory, root_core=0)])
-        stats = backend.stats
-        if backend.telemetry is not None and cfg.collect_trace:
-            from .obs import build_chrome_trace
-
-            timeline = build_chrome_trace(
-                trace=backend.trace, host_rounds=backend.worker_rounds,
-                coord_events=backend.events)
-    else:
-        machine = build_machine(cfg)
-        backend = machine
-        tracer = None
-        profiler = None
-        tel = machine.telemetry
-        if tel is not None and "timeline" in tel.parts:
-            from .harness.trace import Tracer
-
-            tracer = Tracer(machine)
-        if tel is not None and "profile" in tel.parts:
-            from .obs import SamplingProfiler
-
-            profiler = SamplingProfiler(tel).start()
-        try:
-            result = machine.run(workload.root)
-        finally:
-            if profiler is not None:
-                profiler.stop()
-        stats = machine.stats
-        if tracer is not None:
-            timeline = tracer.to_chrome()
-    workload.verify(result["output"])
-    print(f"benchmark        : {args.benchmark} {workload.meta}", file=out)
     print(f"architecture     : {cfg.name} sync={cfg.sync} T={cfg.drift_bound}",
           file=out)
-    print(f"virtual time     : {result['work_vtime']:.1f} cycles", file=out)
+    print(f"virtual time     : {vtime:.1f} cycles", file=out)
     print(f"tasks started    : {stats.tasks_started}", file=out)
     print(f"messages         : {stats.total_messages}", file=out)
     print(f"drift stalls     : {stats.drift_stalls}", file=out)
     print(f"host wall        : {stats.wall_seconds:.3f} s", file=out)
-    if cfg.backend == "sharded":
-        proto = backend.protocol
+    proto = backend.protocol
+    if proto is not None:
         print(f"sync rounds      : {proto['rounds']} "
               f"({proto['waivers']} waivers, window peak "
               f"x{proto['window_peak']:g})", file=out)
         print(f"boundary bytes   : {proto['bytes_shipped']}", file=out)
         print(f"parallel eff.    : {proto['parallel_efficiency']:.1%}",
               file=out)
+    if written:
+        print(f"checkpoints      : {len(written)} written -> "
+              f"{args.checkpoint}", file=out)
     if cfg.telemetry:
-        from .obs import collect_snapshot, write_outputs
+        from .obs import build_chrome_trace, collect_snapshot, write_outputs
 
         snapshot = collect_snapshot(backend)
         if snapshot is not None:
@@ -461,22 +396,28 @@ def _cmd_run(args, out) -> int:
                   f"{len(snapshot.get('histograms', {}))} histograms",
                   file=out)
             if args.telemetry_out:
-                written = write_outputs(args.telemetry_out, snapshot,
-                                        timeline)
-                for name, path in sorted(written.items()):
+                timeline = None
+                trace = backend.trace
+                if trace is not None:
+                    timeline = build_chrome_trace(
+                        trace=trace,
+                        host_rounds=getattr(backend, "worker_rounds", None),
+                        coord_events=getattr(backend, "events", None))
+                written_files = write_outputs(args.telemetry_out, snapshot,
+                                              timeline)
+                for name, path in sorted(written_files.items()):
                     print(f"  wrote {name:8s} : {path}", file=out)
                 print(f"  (summarize with: python -m repro obs summarize "
                       f"{args.telemetry_out})", file=out)
-    if args.baseline:
+    if args.baseline and verified:
         base_cfg = dataclasses.replace(cfg, n_cores=1, polymorphic=False,
                                        topology="mesh", name="single-core",
                                        backend="serial", shards=0)
-        base_workload = get_workload(args.benchmark, scale=args.scale,
-                                     seed=args.seed, memory=cfg.memory)
-        base = build_machine(base_cfg).run(base_workload.root)
+        (base,) = build_backend(base_cfg).run_workloads([spec])
         speedup = base["work_vtime"] / result["work_vtime"]
         print(f"speedup vs 1 core: {speedup:.2f}x", file=out)
-    print("output verified  : yes", file=out)
+    if verified:
+        print("output verified  : yes", file=out)
     return 0
 
 

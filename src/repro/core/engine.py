@@ -53,10 +53,6 @@ from ..timing.isa import CostTable, default_cost_table
 
 INF = math.inf
 
-#: Effectively-unbounded slice budget used by the sharded fast-forward
-#: (the window horizon, not the action count, terminates the fused run).
-_BOOST_BUDGET = 1 << 30
-
 
 @dataclass
 class EngineParams:
@@ -117,6 +113,9 @@ class Machine:
     * ``run(root_fn)`` / ``run_roots([...])`` — the serial loop: seed
       root tasks, interleave all cores through the ready ring until
       everything completes, return the roots' results.
+      ``run_workloads(specs, ...)`` is the same loop behind the
+      execution surface :class:`~repro.parallel.coordinator.
+      ShardedMachine` shares (specs in, checkpoint/verify hooks).
     * the shard-stepping interface (``set_shard_scope``,
       ``begin_run`` / ``seed_root``, ``run_shard_round``,
       ``run_shard_waiver``, ``inject_message``, ``finish_run``) — used
@@ -138,6 +137,12 @@ class Machine:
         result = machine.run(my_root_fn)   # root's return value
         print(machine.stats.completion_vtime, machine.describe())
     """
+
+    #: Unit of this backend's checkpoint boundaries (virtual-time cycles;
+    #: the sharded backend counts coordination rounds).
+    boundary_unit = "vtime"
+    #: Round-protocol counters; the in-process backend has no rounds.
+    protocol = None
 
     def __init__(
         self,
@@ -238,6 +243,10 @@ class Machine:
         #: Partition fencing the run-time to shard-local dispatch (set by
         #: the builder when ``ArchConfig.shards > 0``); None = unfenced.
         self.fence = None
+        #: Harness tracer (``repro.harness.trace.Tracer``); set by the
+        #: builder when ``ArchConfig.collect_trace`` is on and read
+        #: through :attr:`trace`.
+        self.tracer = None
         #: Runtime invariant checker (``repro.verify.Sanitizer``); set by
         #: the builder when ``ArchConfig.sanitize`` is on.  The engine
         #: never consults it — the sanitizer hooks in from outside — but
@@ -415,6 +424,80 @@ class Machine:
             self._main_loop()
         self.finish_run()
         return [t.result for t in self.root_tasks]
+
+    def run_workloads(
+        self,
+        specs: Sequence[Any],
+        timeout: Optional[float] = None,
+        *,
+        checkpoint_every: Optional[float] = None,
+        checkpoint_sink: Optional[Callable[[float, List[dict]], None]] = None,
+        verify_at: Optional[float] = None,
+        verify_states: Optional[List[dict]] = None,
+    ) -> List[Any]:
+        """Run workload specs to completion; return their results in
+        spec order.  Same signature as
+        :meth:`~repro.parallel.coordinator.ShardedMachine.run_workloads`,
+        so callers hold either backend from
+        :func:`repro.arch.build_backend`.
+
+        A spec is anything with ``resolve().root`` and ``root_core``
+        (``repro.parallel.WorkloadSpec``).  ``timeout`` bounds the
+        sharded backend's reply waits and means nothing in-process.
+
+        With ``checkpoint_every`` the run stops at virtual times
+        ``every``, ``2 * every``, ... (boundaries a segment overshot are
+        skipped, so every capture holds fresh progress) and hands
+        ``(boundary, [state])`` to ``checkpoint_sink`` while work is
+        still live.  With ``verify_at``/``verify_states`` the run is a
+        *restore replay*: it runs straight to ``verify_at``, where the
+        machine state must be bit-identical to ``verify_states[0]``
+        (:class:`~repro.checkpoint.codec.CheckpointMismatchError`
+        otherwise, including when the run ends before the boundary),
+        and checkpoints only past it.  Stopping and resuming is
+        observation-only (see :meth:`resume_run`).
+        """
+        roots = [(spec.resolve().root, (), spec.root_core) for spec in specs]
+        every = None
+        if checkpoint_every is not None:
+            every = float(checkpoint_every)
+            if every <= 0:
+                raise SimConfigError(
+                    f"checkpoint_every must be > 0, got {checkpoint_every}")
+        tel = self.telemetry
+        profiler = None
+        if tel is not None and "profile" in tel.parts:
+            from ..obs.profiler import SamplingProfiler
+
+            profiler = SamplingProfiler(tel).start()
+        try:
+            k = every
+            results = self.run_roots(
+                roots, stop_at_vtime=k if verify_at is None else verify_at)
+            while self.live_tasks > 0:
+                if verify_at is not None:
+                    from ..checkpoint.state import verify_machine_state
+
+                    verify_machine_state(verify_states[0], self.snapshot())
+                    verify_at = None
+                else:
+                    checkpoint_sink(k, [self.snapshot()])
+                if every is not None:
+                    while k <= self.fabric.max_vtime:
+                        k += every
+                results = self.resume_run(stop_at_vtime=k)
+        finally:
+            if profiler is not None:
+                profiler.stop()
+        if verify_at is not None:
+            from ..checkpoint.codec import CheckpointMismatchError
+
+            raise CheckpointMismatchError(
+                f"restore replay completed at virtual time "
+                f"{self.stats.completion_vtime:g}, before reaching the "
+                f"snapshot's boundary {verify_at:g}; the replay did not "
+                "reproduce the checkpointed trajectory")
+        return results
 
     def snapshot(self) -> Dict[str, Any]:
         """Capture this machine's complete run state at a safe point.
@@ -676,6 +759,17 @@ class Machine:
             self.stats.core_busy_cycles[c.cid] = c.busy_cycles
 
     @property
+    def trace(self) -> Optional[Dict[str, list]]:
+        """The run's trace export (``None`` without ``collect_trace``).
+
+        Built on each read, not stored: an export doubles the tracer's
+        records, and a stored copy would live until the machine's
+        reference cycles are collected — measurably raising a service
+        process's peak RSS.  Read it once and keep the result.
+        """
+        return self.tracer.export() if self.tracer is not None else None
+
+    @property
     def completion_time(self) -> float:
         """Virtual time at which the root task finished."""
         return self.stats.completion_vtime
@@ -786,15 +880,6 @@ class Machine:
         pops = 0
         if self._wave_floors:
             self._prime_floor_cache()
-        # Decoupled-phase fast-forward (sharded backend only): when the
-        # popped core is provably the shard's sole runnable core (ready
-        # ring and stalled set both empty, no sampling to perturb), its
-        # fused pure-compute run may extend past the slice budget all
-        # the way to the window horizon with a single fabric.commit —
-        # any other host order would run the exact same actions in the
-        # exact same virtual order, so this is order-equivalent, and
-        # serial runs (horizon INF, _owned None) never take the path.
-        boostable = self._owned is not None and interval is None
         while ready:
             core = ready.popleft()
             in_ready_col[core.cid] = 0
@@ -832,8 +917,7 @@ class Machine:
                 continue
             # _run_slice performs the drift check itself (it must also apply
             # the reception exemption for inbox work on stalled cores).
-            boost = boostable and not ready and not self._stalled
-            if self._run_slice(core, boost):
+            if self._run_slice(core):
                 progressed = True
         return progressed
 
@@ -907,15 +991,8 @@ class Machine:
             self._go_idle(core)
         return progressed
 
-    def _run_slice(self, core: CoreUnit, boost: bool = False) -> bool:
-        """Run one core until it blocks, stalls, idles or exhausts its slice.
-
-        ``boost`` (sharded fast-forward) lifts the slice budget for
-        *fused pure-compute* runs up to the window horizon; it is only
-        ever passed when this core is the shard's sole runnable core,
-        and is re-validated before each boosted step (message handlers
-        run inside the slice may have readied another core).
-        """
+    def _run_slice(self, core: CoreUnit) -> bool:
+        """Run one core until it blocks, stalls, idles or exhausts its slice."""
         if self._ordered_units:
             return self._run_ordered_slice(core)
         policy = self.policy
@@ -952,14 +1029,7 @@ class Machine:
                 progressed = True
                 continue
             if core.current is not None:
-                if (boost and not core.inbox and not self._ready
-                        and self.fabric.vtime[core.cid] < self._horizon):
-                    # Sole runnable core: let a fused pure-compute run
-                    # go all the way to the window horizon in one step.
-                    budget -= self._step_task(core, _BOOST_BUDGET,
-                                              self._horizon)
-                else:
-                    budget -= self._step_task(core, budget)
+                budget -= self._step_task(core, budget)
                 progressed = True
                 continue
             if core.queue:
@@ -1239,8 +1309,7 @@ class Machine:
         if hook is not None:
             hook(core)
 
-    def _step_task(self, core: CoreUnit, budget: int = 1,
-                   cap: float = INF) -> int:
+    def _step_task(self, core: CoreUnit, budget: int = 1) -> int:
         """Execute the current task's next action(s); return actions consumed.
 
         Runs of consecutive pure-compute actions are fused: their costs
@@ -1249,10 +1318,7 @@ class Machine:
         advance, skipping the per-action publish/relax machinery whose
         intermediate states are unobservable — nothing else executes
         between two actions of one host slice.  Fusion never exceeds
-        ``budget``, so slice accounting is unchanged.  ``cap`` (the
-        sharded fast-forward's window horizon) additionally ends a fused
-        run once the core's virtual time reaches it; serial callers
-        leave it at INF.
+        ``budget``, so slice accounting is unchanged.
         """
         task = core.current
         gen = task.gen
@@ -1312,11 +1378,10 @@ class Machine:
                     if on_adv is not None:
                         on_adv(core)
                 # Stop before pulling an action the unfused loop would not
-                # have reached: budget exhausted, horizon cap hit, or
-                # drift check fails (the outer loop then re-checks and
-                # stalls or parks, exactly as before).
-                if (consumed >= budget or vtimes[cid] >= cap
-                        or not may_run(core)):
+                # have reached: budget exhausted or drift check fails
+                # (the outer loop then re-checks and stalls, exactly as
+                # before).
+                if consumed >= budget or not may_run(core):
                     break
                 try:
                     action = gen.send(None)

@@ -108,6 +108,10 @@ class ShardedMachine:
             [WorkloadSpec("quicksort", scale="tiny", root_core=0)])
     """
 
+    #: Unit of this backend's checkpoint boundaries (coordination
+    #: rounds; the serial machine counts virtual-time cycles).
+    boundary_unit = "round"
+
     def __init__(self, cfg) -> None:
         if cfg.shards < 1:
             raise SimConfigError("sharded backend needs shards >= 1")
@@ -161,7 +165,7 @@ class ShardedMachine:
         # Checkpoint/restore hooks; see run_workloads.
         self._checkpoint_every: Optional[int] = None
         self._checkpoint_sink = None
-        self._verify_round: Optional[int] = None
+        self._verify_at: Optional[int] = None
         self._verify_states: Optional[List[dict]] = None
 
     # -- public API ------------------------------------------------------
@@ -172,7 +176,7 @@ class ShardedMachine:
         *,
         checkpoint_every: Optional[int] = None,
         checkpoint_sink=None,
-        verify_round: Optional[int] = None,
+        verify_at: Optional[int] = None,
         verify_states: Optional[List[dict]] = None,
     ) -> List[object]:
         """Run the given workload roots to completion; return their results
@@ -185,7 +189,7 @@ class ShardedMachine:
         set, every that-many coordination rounds the coordinator pauses
         at the round barrier, asks each worker for its machine-state
         capture, and hands ``(round_no, [state, ...])`` to
-        ``checkpoint_sink``.  With ``verify_round``/``verify_states``
+        ``checkpoint_sink``.  With ``verify_at``/``verify_states``
         set, this run is a *restore replay*: at that round barrier each
         worker's capture must be bit-identical to the stored one —
         :class:`~repro.checkpoint.codec.CheckpointMismatchError`
@@ -201,9 +205,11 @@ class ShardedMachine:
             if not 0 <= spec.root_core < self.cfg.n_cores:
                 raise SimConfigError(
                     f"root core {spec.root_core} out of range")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise SimConfigError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        if checkpoint_every is not None:
+            checkpoint_every = int(checkpoint_every)
+            if checkpoint_every < 1:
+                raise SimConfigError(
+                    f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if (verify_states is not None
                 and len(verify_states) != self.partition.n_shards):
             from ..checkpoint.codec import CheckpointError
@@ -214,7 +220,7 @@ class ShardedMachine:
                 "onto a different shard count is not supported")
         self._checkpoint_every = checkpoint_every
         self._checkpoint_sink = checkpoint_sink
-        self._verify_round = verify_round
+        self._verify_at = None if verify_at is None else int(verify_at)
         self._verify_states = verify_states
         t_start = time.perf_counter()
         self._t0 = t_start  # wall-clock origin for telemetry events
@@ -278,9 +284,13 @@ class ShardedMachine:
         T = cfg.drift_bound
         adaptive = (spatial and cfg.adaptive_window
                     and cfg.window_max_factor > 1.0)
+        # The window horizon protects round-stale proxies; a partition
+        # without a boundary has none, and parking its cores would only
+        # reorder the ready ring away from the serial run's.
+        windowed = spatial and self.partition.n_shards > 1
         # Round 1: every core sits at virtual time 0, nothing to adopt
         # (the board's adopt plane starts at INF).
-        horizon = T if spatial else INF
+        horizon = T if windowed else INF
         window = 1.0
         lift = self._window_lift(window)
         # Escalation ladder for a no-progress round (spatial only —
@@ -343,11 +353,14 @@ class ShardedMachine:
                 break
             # Round barrier: workers are blocked on the next command, so
             # their machine state is frozen — the safe point for
-            # checkpoint capture and restore verification.
-            if self._verify_round == self.rounds:
+            # checkpoint capture and restore verification.  A restore
+            # replay checkpoints only past its verified boundary (an
+            # earlier capture would replace the newer one it resumes).
+            if self._verify_at == self.rounds:
                 self._verify_worker_states(ctrl, timeout)
             elif (self._checkpoint_every is not None
-                    and self.rounds % self._checkpoint_every == 0):
+                    and self.rounds % self._checkpoint_every == 0
+                    and self.rounds > (self._verify_at or 0)):
                 self._checkpoint_sink(
                     self.rounds, self._collect_worker_states(ctrl, timeout))
             sent_total = sum(s[2] for s in statuses)
@@ -379,18 +392,18 @@ class ShardedMachine:
                 else:
                     window = 1.0
                 lift = self._window_lift(window)
-            if spatial and stall == 0:
+            if windowed and stall == 0:
                 horizon = global_min + T * window
             else:
                 horizon = INF
-        if (self._verify_round is not None
-                and self.rounds < self._verify_round):
+        if (self._verify_at is not None
+                and self.rounds < self._verify_at):
             from ..checkpoint.codec import CheckpointMismatchError
 
             raise CheckpointMismatchError(
                 f"restore replay completed after {self.rounds} rounds, "
                 f"before reaching the snapshot's round "
-                f"{self._verify_round}; the replay did not reproduce the "
+                f"{self._verify_at}; the replay did not reproduce the "
                 "checkpointed trajectory")
         for conn in ctrl:
             conn.send(("stop",))

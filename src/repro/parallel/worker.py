@@ -127,11 +127,6 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
         from ..obs.profiler import SamplingProfiler
 
         profiler = SamplingProfiler(telemetry).start()
-    tracer = None
-    if cfg.collect_trace:
-        from ..harness.trace import Tracer
-
-        tracer = Tracer(machine)
     spatial = cfg.sync == "spatial"
     # Sub-round batching only pays under spatial sync: the unbounded
     # policy gates nothing, so one run to quiescence is already maximal.
@@ -248,13 +243,12 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
                 machine.finish_run()
                 results = {i: task.result for i, task in roots}
                 finishes = {i: task.finish_time for i, task in roots}
-                trace = tracer.export() if tracer is not None else None
                 if profiler is not None:
                     profiler.stop()  # folds samples into the snapshot
                 obs = (telemetry.snapshot()
                        if telemetry is not None else None)
                 ctrl_conn.send(("done", machine.stats, results, finishes,
-                                bytes_to, busy, trace, obs))
+                                bytes_to, busy, machine.trace, obs))
                 return
             else:  # pragma: no cover - protocol misuse
                 raise RuntimeError(f"unknown coordinator command {op!r}")

@@ -380,192 +380,78 @@ class JobQueue:
     def _execute(self, job: Job) -> Dict[str, Any]:
         """Simulate one job through the configured backend.
 
-        Builds the workload and backend exactly like ``python -m repro
-        run`` does, optionally attaches tracing for the canonical
-        digest, verifies the simulated output with the workload's
-        independent checker, and serializes everything with
+        Builds the backend exactly like ``python -m repro run`` does
+        (``build_backend(cfg).run_workloads``), collects the trace for
+        the canonical digest, verifies the simulated output with the
+        workload's independent checker, and serializes everything with
         :func:`repro.harness.results.run_record`.
-        """
-        from ..arch import build_backend, build_machine
-        from ..harness.results import run_record
-        from ..harness.trace import trace_digest as digest_fn
-        from ..obs import collect_live_snapshot
-        from ..workloads import get_workload
 
-        spec = job.spec
-        options = spec.options
-        if options.get("checkpoint_every"):
-            return self._execute_checkpointed(job)
-        want_digest = bool(options.get("digest", True))
-        overrides: Dict[str, Any] = {}
-        telemetry = options.get("telemetry")
-        if telemetry:
-            overrides["telemetry"] = telemetry
-        self.registry.counters["service.simulations_started"] += 1
-        wl = spec.workload
-        workload = get_workload(wl["benchmark"], scale=wl["scale"],
-                                seed=wl["seed"], memory=spec.cfg.memory)
-        digest: Optional[str] = None
-        if spec.cfg.backend == "sharded":
-            from ..parallel import WorkloadSpec
-
-            if want_digest:
-                overrides["collect_trace"] = True
-            cfg = dataclasses.replace(spec.cfg, **overrides)
-            backend = build_backend(cfg)
-            job.backend = backend
-            (result,) = backend.run_workloads(
-                [WorkloadSpec(wl["benchmark"], scale=wl["scale"],
-                              seed=wl["seed"], memory=cfg.memory,
-                              root_core=wl["root_core"])],
-                timeout=job.timeout_s)
-            stats, protocol = backend.stats, backend.protocol
-            if want_digest and backend.trace is not None:
-                digest = digest_fn(backend.trace)
-        else:
-            cfg = (dataclasses.replace(spec.cfg, **overrides)
-                   if overrides else spec.cfg)
-            machine = build_machine(cfg)
-            job.backend = backend = machine
-            tracer = None
-            if want_digest:
-                from ..harness.trace import Tracer
-
-                tracer = Tracer(machine)
-            result = machine.run(workload.root,
-                                 root_core=wl["root_core"])
-            stats, protocol = machine.stats, None
-            if tracer is not None:
-                digest = digest_fn(tracer.export())
-        workload.verify(result["output"])
-        snapshot = collect_live_snapshot(backend) if telemetry else None
-        document = run_record(result, stats, protocol=protocol,
-                              trace_digest=digest, telemetry=snapshot,
-                              verified=True)
-        document["spec"] = spec.canonical
-        document["spec_hash"] = spec.spec_hash
-        return document
-
-    def _execute_checkpointed(self, job: Job) -> Dict[str, Any]:
-        """Checkpointing twin of :meth:`_execute`.
-
-        Runs the same simulation, but persists a snapshot at every
-        ``checkpoint_every`` boundary (virtual-time cycles serial,
+        With the ``checkpoint_every`` option the same run persists a
+        snapshot at every boundary (virtual-time cycles serial,
         coordination rounds sharded), and when a retained snapshot for
-        this spec hash already exists, *resumes* from it by verified
+        this spec hash already exists it *resumes* from it by verified
         replay (``repro.checkpoint``) instead of restarting.  The final
         document is bit-identical either way.  A corrupt or
         version-mismatched snapshot file is discarded and the run
         starts fresh; a replay divergence
         (``CheckpointMismatchError``) fails the job loudly.
         """
-        from ..arch import build_backend, build_machine
+        from ..arch import build_backend
         from ..checkpoint import (CheckpointCorruptError,
-                                  CheckpointVersionError, load_snapshot,
-                                  make_snapshot, save_snapshot)
-        from ..checkpoint.state import (capture_machine_state,
-                                        verify_machine_state)
+                                  CheckpointVersionError, checkpoint_kwargs,
+                                  load_snapshot, save_snapshot)
         from ..harness.results import run_record
-        from ..harness.trace import trace_digest as digest_fn
+        from ..harness.trace import trace_digest
         from ..obs import collect_live_snapshot
         from ..parallel import WorkloadSpec
-        from ..workloads import get_workload
 
         spec = job.spec
         options = spec.options
-        every = float(options["checkpoint_every"])
-        want_digest = bool(options.get("digest", True))
-        telemetry = options.get("telemetry")
+        every = options.get("checkpoint_every") or None
         overrides: Dict[str, Any] = {}
+        telemetry = options.get("telemetry")
         if telemetry:
             overrides["telemetry"] = telemetry
-        path = self._checkpoint_path(job)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        if options.get("digest", True):
+            overrides["collect_trace"] = True
         snap = None
-        if os.path.exists(path):
-            try:
-                snap = load_snapshot(path)
-            except (CheckpointCorruptError, CheckpointVersionError):
-                os.remove(path)  # unusable: start fresh
-        if snap is not None:
-            self.registry.counters["service.resumed_from_checkpoint"] += 1
+        path = self._checkpoint_path(job)
+        if every is not None:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if os.path.exists(path):
+                try:
+                    snap = load_snapshot(path)
+                except (CheckpointCorruptError, CheckpointVersionError):
+                    os.remove(path)  # unusable: start fresh
+            if snap is not None:
+                self.registry.counters["service.resumed_from_checkpoint"] += 1
         self.registry.counters["service.simulations_started"] += 1
-        wl = spec.workload
-        workload = get_workload(wl["benchmark"], scale=wl["scale"],
-                                seed=wl["seed"], memory=spec.cfg.memory)
         # A resume rebuilds from the snapshot's own (self-describing)
         # config; it hashes equal to spec.cfg or the path would differ.
         base_cfg = snap.rebuild_config() if snap is not None else spec.cfg
-        digest: Optional[str] = None
-        if spec.cfg.backend == "sharded":
-            if want_digest:
-                overrides["collect_trace"] = True
-            cfg = dataclasses.replace(base_cfg, **overrides)
-            wspecs = [WorkloadSpec(wl["benchmark"], scale=wl["scale"],
-                                   seed=wl["seed"], memory=cfg.memory,
-                                   root_core=wl["root_core"])]
+        cfg = dataclasses.replace(base_cfg, **overrides)
+        wl = spec.workload
+        wspec = WorkloadSpec(wl["benchmark"], scale=wl["scale"],
+                             seed=wl["seed"], memory=cfg.memory,
+                             root_core=wl["root_core"])
 
-            def sink(round_no: int, states: List[Dict[str, Any]]) -> None:
-                save_snapshot(make_snapshot(
-                    "sharded", cfg, wspecs,
-                    {"kind": "round", "value": round_no}, states,
-                    note=spec.spec_hash), path)
-                _after_checkpoint(job, path)
+        def sink(snapshot) -> None:
+            save_snapshot(snapshot, path)
+            _after_checkpoint(job, path)
 
-            backend = build_backend(cfg)
-            job.backend = backend
-            kwargs: Dict[str, Any] = dict(checkpoint_every=int(every),
-                                          checkpoint_sink=sink)
-            if snap is not None:
-                kwargs.update(verify_round=int(snap.boundary["value"]),
-                              verify_states=snap.states)
-            (result,) = backend.run_workloads(wspecs, timeout=job.timeout_s,
-                                              **kwargs)
-            stats, protocol = backend.stats, backend.protocol
-            if want_digest and backend.trace is not None:
-                digest = digest_fn(backend.trace)
-        else:
-            cfg = (dataclasses.replace(base_cfg, **overrides)
-                   if overrides else base_cfg)
-            wspecs = [WorkloadSpec(wl["benchmark"], scale=wl["scale"],
-                                   seed=wl["seed"], memory=cfg.memory,
-                                   root_core=wl["root_core"])]
-            machine = build_machine(cfg)
-            job.backend = backend = machine
-            tracer = None
-            if want_digest:
-                from ..harness.trace import Tracer
-
-                tracer = Tracer(machine)
-            roots = [(workload.root, (), wl["root_core"])]
-            if snap is not None:
-                k = float(snap.boundary["value"])
-                machine.run_roots(roots, stop_at_vtime=k)
-                verify_machine_state(snap.states[0],
-                                     capture_machine_state(machine))
-                while k <= machine.fabric.max_vtime:
-                    k += every
-                results = machine.resume_run(stop_at_vtime=k)
-            else:
-                k = every
-                results = machine.run_roots(roots, stop_at_vtime=k)
-            while machine.live_tasks > 0:
-                save_snapshot(make_snapshot(
-                    "serial", cfg, wspecs,
-                    {"kind": "vtime", "value": k},
-                    [capture_machine_state(machine)],
-                    note=spec.spec_hash), path)
-                _after_checkpoint(job, path)
-                while k <= machine.fabric.max_vtime:
-                    k += every
-                results = machine.resume_run(stop_at_vtime=k)
-            result = results[0]
-            stats, protocol = machine.stats, None
-            if tracer is not None:
-                digest = digest_fn(tracer.export())
-        workload.verify(result["output"])
+        backend = build_backend(cfg)
+        job.backend = backend
+        (result,) = backend.run_workloads(
+            [wspec], timeout=job.timeout_s,
+            **checkpoint_kwargs(backend, cfg, [wspec], every=every,
+                                sink=sink, resume=snap,
+                                note=spec.spec_hash))
+        wspec.resolve().verify(result["output"])
+        trace = backend.trace
+        digest = trace_digest(trace) if trace is not None else None
         snapshot = collect_live_snapshot(backend) if telemetry else None
-        document = run_record(result, stats, protocol=protocol,
+        document = run_record(result, backend.stats,
+                              protocol=backend.protocol,
                               trace_digest=digest, telemetry=snapshot,
                               verified=True)
         document["spec"] = spec.canonical

@@ -180,7 +180,7 @@ class TestShardedSplitRun:
         assert "shard 1" in str(exc.value)
 
     def test_resume_past_completed_run_fails_loudly(self):
-        # A verify_round beyond the run's actual rounds means the
+        # A verify_at round beyond the run's actual rounds means the
         # snapshot does not belong to this trajectory.
         cfg = sharded_cfg()
         straight = run_straight(cfg, QUICKSORT)
