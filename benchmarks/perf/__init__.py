@@ -1,10 +1,7 @@
 """Persistent engine performance suite.
 
-Thin wrappers around :mod:`repro.harness.perfbench`:
-
-* ``python benchmarks/perf/run.py`` — run the suite and rewrite the
-  committed ``BENCH_engine.json`` record (same as ``python -m repro bench``).
-* ``python benchmarks/perf/check_regression.py`` — re-measure and fail
-  when any benchmark regressed more than 25 % against the committed
-  record (used by CI).
+``python benchmarks/perf/check_regression.py`` re-measures the
+:mod:`repro.harness.perfbench` micros and fails when any regressed
+beyond the tolerance against the committed ``BENCH_engine.json`` record
+(used by CI); ``python -m repro bench`` rewrites that record.
 """

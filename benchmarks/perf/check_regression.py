@@ -1,7 +1,9 @@
 """Fail when engine throughput regressed against ``BENCH_engine.json``.
 
-Re-runs the perf suite and compares events/sec per benchmark against the
-committed record at the repo root.  A benchmark fails when it is more
+Re-runs the perf suite (the hot-path micros; whole runs are measured
+by ``benchmarks/e2e``) and compares events/sec per benchmark against the
+committed record at the repo root, which ``python -m repro bench
+--repeat 5`` rewrites.  A benchmark fails when it is more
 than ``REGRESSION_TOLERANCE`` (25 %) below the recorded value — generous
 because events/sec on shared CI hosts swings easily by double-digit
 percentages; the check is meant to catch order-of-magnitude mistakes
@@ -53,8 +55,7 @@ def main(argv=None) -> int:
                              "--tolerance)")
     parser.add_argument("--only", default=None,
                         help="comma-separated subset of benchmark names "
-                             "to run and gate on (e.g. the micro "
-                             "benchmarks for a CI smoke job)")
+                             "to run and gate on")
     args = parser.parse_args(argv)
 
     only = None

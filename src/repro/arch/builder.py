@@ -151,12 +151,15 @@ def build_backend(cfg: ArchConfig):
     Returns a serial :class:`~repro.core.engine.Machine` or a
     :class:`~repro.parallel.coordinator.ShardedMachine`.  Both expose
     the same execution surface — ``run_workloads(specs, timeout, *,
-    checkpoint_every, checkpoint_sink, verify_at, verify_states)`` plus
-    ``stats``, ``trace``, ``protocol`` (``None`` on serial) and
-    ``boundary_unit`` — so callers never branch on the backend.  Specs
-    are picklable :class:`~repro.parallel.WorkloadSpec` objects (the
-    sharded backend rebuilds roots inside each worker), hence this
-    entry point rather than ``run(root_fn)``.
+    checkpoint_every, checkpoint_sink, verify_at, verify_states)`` with
+    one meaning per argument (``timeout`` is the run's wall-clock
+    budget; ``checkpoint_every`` / ``verify_at`` are virtual times)
+    plus ``stats``, ``trace``, ``telemetry_snapshot()`` and ``protocol``
+    (``None`` on serial) — so callers neither branch on the backend nor
+    translate for it.  Specs are picklable
+    :class:`~repro.parallel.WorkloadSpec` objects (the sharded backend
+    rebuilds roots inside each worker), hence this entry point rather
+    than ``run(root_fn)``.
 
     ``build_backend(cfg).run_workloads(...)`` is the one way
     ``python -m repro run``, the checkpoint drivers, the fuzzer and the

@@ -113,10 +113,6 @@ class ArchConfig:
     #: one-round-per-go lockstep).  Workers stop early the moment they
     #: emit a boundary-crossing message.
     round_batch: int = 16
-    #: Worker process start method: "auto" picks fork where the host
-    #: supports it (workers inherit the parent's imports instead of
-    #: booting fresh interpreters) and falls back to spawn elsewhere.
-    worker_start_method: str = "auto"  # auto | fork | spawn
 
     # Verification (repro.verify).  ``sanitize`` attaches the runtime
     # invariant checker to every machine the build produces (serial and
@@ -172,9 +168,6 @@ class ArchConfig:
         if self.round_batch < 1:
             raise SimConfigError(
                 f"round_batch must be >= 1, got {self.round_batch}")
-        if self.worker_start_method not in ("auto", "fork", "spawn"):
-            raise SimConfigError(
-                f"unknown worker_start_method {self.worker_start_method!r}")
 
     def resolved_speed_factors(self) -> list:
         """Per-core speed factors (cost multipliers; >1 = slower)."""

@@ -81,20 +81,6 @@ def config_field_names() -> frozenset:
     return frozenset(f.name for f in dataclasses.fields(ArchConfig))
 
 
-def config_overrides_dict(base: ArchConfig, cfg: ArchConfig) -> dict:
-    """The semantic fields where ``cfg`` differs from ``base``.
-
-    Both configs are reduced to their canonical dicts first, so
-    non-semantic knobs (telemetry, sanitizer, labels) never show
-    up as differences.  Used by the DSE result frame to display each
-    sweep cell as a minimal delta against the family's base point.
-    """
-    a = config_canonical_dict(base)
-    b = config_canonical_dict(cfg)
-    return {k: v for k, v in b.items() if a.get(k) != v}
-
-
-
 #: :class:`ArchConfig` fields excluded from the content hash.  A field
 #: belongs here only when the verification subsystem *proves* it cannot
 #: change simulation results:
@@ -102,9 +88,7 @@ def config_overrides_dict(base: ArchConfig, cfg: ArchConfig) -> dict:
 #: * ``name`` — a human-readable label, never consulted by the engine;
 #: * ``telemetry`` / ``collect_trace`` / ``sanitize`` — observation-only;
 #:   golden numbers and trace digests are pinned bit-identical with them
-#:   on (``tests/test_obs.py``, ``tests/test_verify.py``);
-#: * ``worker_start_method`` — how worker processes boot on the host
-#:   cannot reach the simulated machine.
+#:   on (``tests/test_obs.py``, ``tests/test_verify.py``).
 #:
 #: Everything else is semantic.  Note that ``backend``, ``shards``,
 #: ``round_batch``, ``adaptive_window`` and ``window_max_factor`` are
@@ -117,7 +101,6 @@ NON_SEMANTIC_FIELDS = frozenset({
     "telemetry",
     "collect_trace",
     "sanitize",
-    "worker_start_method",
 })
 
 

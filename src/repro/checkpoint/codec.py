@@ -45,11 +45,13 @@ from ..core.errors import SimError
 
 #: File magic for snapshot files.
 MAGIC = b"RPSNAP"
-#: Bump on any change to the encoding, the captured-state schema or the
-#: ``ArchConfig`` fields a snapshot carries (2: the kernel-selection and
-#: inbox-toggle fields left the config; a version-1 file would otherwise
-#: fail ``ArchConfig(**config)`` with a TypeError instead of this error).
-CHECKPOINT_VERSION = 2
+#: Bump on any change to the encoding, the captured-state schema, the
+#: meaning of a boundary or the ``ArchConfig`` fields a snapshot carries
+#: (3: sharded boundaries became virtual times — a version-2 sharded
+#: file counts coordination rounds — and ``worker_start_method`` left
+#: the config, so an older file would otherwise fail
+#: ``ArchConfig(**config)`` with a TypeError instead of this error).
+CHECKPOINT_VERSION = 3
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")

@@ -19,13 +19,14 @@ preempted job resumes onto a state proven equal to the one it lost,
 and any divergence — code drift, nondeterminism, a corrupted file —
 fails loudly instead of silently producing wrong numbers.
 
-Boundaries are the backends' natural safe points: a ``stop_at_vtime``
-return for the serial engine (no slice in flight) and a coordination
-round barrier for the sharded backend (workers blocked on the next
+Boundaries are virtual times, taken at the backends' natural safe
+points: a ``stop_at_vtime`` return for the serial engine (no slice in
+flight) and the first coordination-round barrier whose frontier reached
+the boundary for the sharded backend (workers blocked on the next
 command).  Both backends take the same ``run_workloads`` checkpoint and
-verify hooks and name their boundary unit (``backend.boundary_unit``),
-so every driver here is backend-agnostic: :func:`checkpoint_kwargs` is
-the one place that maps :class:`Snapshot` objects onto those hooks.
+verify hooks with the same meaning, so every driver here is
+backend-agnostic: :func:`checkpoint_kwargs` is the one place that maps
+:class:`Snapshot` objects onto those hooks.
 
 Limitations, by design: restoring onto a different shard count fails
 loudly (the coordinator refuses mismatched state lists), and
@@ -50,7 +51,7 @@ from .snapshot import Snapshot, load_snapshot, make_snapshot
 _HOST_PROTOCOL_KEYS = ("worker_busy_s", "parallel_efficiency")
 
 
-def checkpoint_kwargs(backend, cfg: ArchConfig,
+def checkpoint_kwargs(cfg: ArchConfig,
                       specs: Sequence[WorkloadSpec], *,
                       every=None,
                       sink: Optional[Callable[[Snapshot], None]] = None,
@@ -61,11 +62,10 @@ def checkpoint_kwargs(backend, cfg: ArchConfig,
 
     With ``every``, ``sink`` receives a fresh :class:`Snapshot` at each
     boundary the run crosses with work still live — every that-many
-    ``backend.boundary_unit``s (virtual-time cycles serial, coordination
-    rounds sharded).  With ``resume``, the run replays to the snapshot's
-    boundary and must match its captured state bit-for-bit before
-    continuing; the shard count is the snapshot's (the coordinator
-    refuses a state list that does not match its partition).
+    virtual-time cycles.  With ``resume``, the run replays to the
+    snapshot's boundary and must match its captured state bit-for-bit
+    before continuing; the shard count is the snapshot's (the
+    coordinator refuses a state list that does not match its partition).
     """
     kwargs: Dict = {}
     if every is not None:
@@ -76,8 +76,7 @@ def checkpoint_kwargs(backend, cfg: ArchConfig,
         def checkpoint_sink(boundary, states: List[dict]) -> None:
             sink(make_snapshot(
                 cfg.backend, cfg, specs,
-                {"kind": backend.boundary_unit, "value": boundary},
-                states, note=note))
+                {"kind": "vtime", "value": boundary}, states, note=note))
 
         kwargs.update(checkpoint_every=every, checkpoint_sink=checkpoint_sink)
     if resume is not None:
@@ -85,6 +84,10 @@ def checkpoint_kwargs(backend, cfg: ArchConfig,
             raise CheckpointError(
                 f"snapshot kind {resume.kind!r} cannot restore on the "
                 f"{cfg.backend} backend")
+        if resume.boundary.get("kind") != "vtime":
+            raise CheckpointError(
+                f"snapshot boundary {resume.boundary!r} is not a virtual "
+                "time; boundaries of any other kind are not supported")
         kwargs.update(verify_at=resume.boundary["value"],
                       verify_states=resume.states)
     return kwargs
@@ -97,7 +100,7 @@ def _run(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
     backend = build_backend(cfg)
     results = backend.run_workloads(
         specs, timeout=timeout,
-        **checkpoint_kwargs(backend, cfg, specs, **checkpointing))
+        **checkpoint_kwargs(cfg, specs, **checkpointing))
     stats = backend.stats.as_dict()
     host = {"wall_seconds": stats.pop("wall_seconds", 0.0)}
     trace = backend.trace
@@ -120,23 +123,22 @@ def _run(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
 
 
 def run_straight(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
-                 timeout: Optional[float] = 300.0) -> Dict:
+                 timeout: Optional[float] = None) -> Dict:
     """Uninterrupted reference run; returns the outcome document."""
     return _run(cfg, specs, timeout)
 
 
 def run_checkpointed(cfg: ArchConfig, specs: Sequence[WorkloadSpec],
                      every, sink: Callable[[Snapshot], None],
-                     timeout: Optional[float] = 300.0) -> Dict:
+                     timeout: Optional[float] = None) -> Dict:
     """Run that hands ``sink`` a :class:`Snapshot` every ``every``
-    boundary units (virtual-time cycles serial, coordination rounds
-    sharded).  Checkpointing is observation-only: the outcome is
-    bit-identical to :func:`run_straight`."""
+    virtual-time cycles.  Checkpointing is observation-only: the outcome
+    is bit-identical to :func:`run_straight`."""
     return _run(cfg, specs, timeout, every=every, sink=sink)
 
 
 def resume_run(snap, *, checkpoint_every=None, sink=None,
-               timeout: Optional[float] = 300.0) -> Dict:
+               timeout: Optional[float] = None) -> Dict:
     """Restore a snapshot (object or file path) by verified replay on
     its own backend and run to completion.
 
@@ -158,7 +160,7 @@ resume_serial = resume_run
 # -- split-run equivalence (fuzzing / CI) -------------------------------------
 
 def split_run(cfg: ArchConfig, specs: Sequence[WorkloadSpec], k,
-              timeout: Optional[float] = 300.0
+              timeout: Optional[float] = None
               ) -> Tuple[Optional[Snapshot], Dict, Optional[Dict]]:
     """One ``run(0→k); restore; run(k→end)`` round trip.
 

@@ -7,9 +7,8 @@ A :class:`Snapshot` is everything a restore needs to continue a run:
 * the resolved :class:`~repro.parallel.channels.WorkloadSpec` list
   (workload factories are deterministic in their spec, so the rebuilt
   roots are identical);
-* the boundary — a virtual-time stop for the serial backend
-  (``{"kind": "vtime", "value": k}``) or a coordination-round count for
-  the sharded one (``{"kind": "round", "value": k}``);
+* the boundary — the virtual time the capture was taken at, on either
+  backend (``{"kind": "vtime", "value": k}``);
 * one machine-state capture per shard (exactly one for serial), each
   with a bit-exact ``det`` section and an informational ``host``
   section (see ``repro.checkpoint.state``).
@@ -41,7 +40,7 @@ class Snapshot:
     kind: str                      # "serial" | "sharded"
     config: Dict[str, Any]         # full ArchConfig as a plain dict
     workloads: List[Dict[str, Any]]  # WorkloadSpec fields per root
-    boundary: Dict[str, Any]       # {"kind": "vtime"|"round", "value": k}
+    boundary: Dict[str, Any]       # {"kind": "vtime", "value": k}
     states: List[Dict[str, Any]]   # one capture per shard (serial: one)
     note: str = ""                 # free-form provenance (spec hash, ...)
 
@@ -100,7 +99,7 @@ def load_snapshot(path: str) -> Snapshot:
             f"{path}: unknown snapshot kind {payload['kind']!r}")
     boundary = payload["boundary"]
     if (not isinstance(boundary, dict)
-            or boundary.get("kind") not in ("vtime", "round")
+            or boundary.get("kind") != "vtime"
             or not isinstance(boundary.get("value"), (int, float))):
         raise CheckpointCorruptError(f"{path}: malformed boundary")
     states = payload["states"]

@@ -119,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-every", type=float, default=None,
                      metavar="N",
                      help="snapshot the run every N virtual-time cycles "
-                          "(serial) or N coordination rounds (sharded); "
-                          "requires --checkpoint")
+                          "(either backend); requires --checkpoint")
     run.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="snapshot file, atomically overwritten at each "
                           "boundary (see docs/checkpoint.md)")
@@ -178,14 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--store", default=".repro-service", metavar="DIR",
                        help="content-hash result cache shared with the "
                             "service (default .repro-service)")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume from cached cell results (this is "
-                            "the default: cells are content-addressed, "
-                            "so an interrupted sweep re-simulates only "
-                            "missing cells)")
     sweep.add_argument("--fresh", action="store_true",
                        help="evict this sweep's cached cell results "
-                            "first and re-simulate everything")
+                            "first and re-simulate everything (the "
+                            "default resumes: cells are content-"
+                            "addressed, so only missing ones simulate)")
     sweep.add_argument("--timeout", type=float, default=300.0,
                        metavar="SECONDS",
                        help="per-cell wall-clock limit (default 300)")
@@ -333,9 +329,8 @@ def _cmd_run(args, out) -> int:
     if args.resume:
         snap = load_snapshot(args.resume)
         cfg, specs = snap.rebuild_config(), snap.rebuild_workloads()
-        print(f"resuming {snap.kind} run from {args.resume} at "
-              f"{snap.boundary['kind']} {snap.boundary['value']:g} "
-              f"(verified replay)", file=out)
+        print(f"resuming {snap.kind} run from {args.resume} at vtime "
+              f"{snap.boundary['value']:g} (verified replay)", file=out)
     else:
         if args.benchmark is None:
             raise SystemExit("run: benchmark is required unless --resume")
@@ -352,9 +347,8 @@ def _cmd_run(args, out) -> int:
     if cfg.backend == "sharded":
         print(backend.describe(), file=out)
     results = backend.run_workloads(
-        specs, **checkpoint_kwargs(backend, cfg, specs,
-                                   every=args.checkpoint_every, sink=sink,
-                                   resume=snap))
+        specs, **checkpoint_kwargs(cfg, specs, every=args.checkpoint_every,
+                                   sink=sink, resume=snap))
     stats = backend.stats
     spec, result = specs[0], results[0]
     vtime = stats.completion_vtime
@@ -435,10 +429,6 @@ def _cmd_dse_sweep(args, out) -> int:
                       frontier_table, load_sweep_spec, pareto_chart,
                       run_sweep)
 
-    if args.fresh and args.resume:
-        print("error: --fresh and --resume are mutually exclusive",
-              file=sys.stderr)
-        return 2
     try:
         payload = load_sweep_spec(args.figure)
         if args.backend is not None:

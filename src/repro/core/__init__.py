@@ -16,7 +16,8 @@ from .actions import (
 )
 from .coreunit import CoreUnit
 from .engine import EngineParams, Machine
-from .errors import ProtocolError, SimConfigError, SimDeadlock, SimError
+from .errors import (ProtocolError, SimConfigError, SimDeadlock, SimError,
+                     SimTimeout)
 from .fabric import VirtualTimeFabric
 from .messages import DEFAULT_SIZES, Message, MsgKind
 from .stats import SimStats, WallTimer
@@ -60,6 +61,7 @@ __all__ = [
     "SimDeadlock",
     "SimError",
     "SimStats",
+    "SimTimeout",
     "SpatialSync",
     "SyncPolicy",
     "Task",

@@ -18,6 +18,7 @@ was discarded) or by the policy's global recheck.
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -38,7 +39,8 @@ from .actions import (
     YieldCpu,
 )
 from .coreunit import CoreUnit
-from .errors import SimConfigError, SimDeadlock, SimError, TaskError
+from .errors import (SimConfigError, SimDeadlock, SimError, SimTimeout,
+                     TaskError)
 from .fabric import VirtualTimeFabric, exact_shadow_fixpoint
 from .messages import DEFAULT_SIZES, Message, MsgKind
 from .soa import CoreStateArrays
@@ -138,9 +140,6 @@ class Machine:
         print(machine.stats.completion_vtime, machine.describe())
     """
 
-    #: Unit of this backend's checkpoint boundaries (virtual-time cycles;
-    #: the sharded backend counts coordination rounds).
-    boundary_unit = "vtime"
     #: Round-protocol counters; the in-process backend has no rounds.
     protocol = None
 
@@ -238,6 +237,9 @@ class Machine:
         self._progress = False
         self._ran = False
         self._stop_at_vtime: Optional[float] = None
+        #: ``time.perf_counter()`` value past which the run gives up
+        #: (``run_workloads(timeout=)``); None = no budget, no clock read.
+        self._deadline: Optional[float] = None
         self.root_task: Optional[Task] = None
         self.root_tasks: List[Task] = []
         #: Partition fencing the run-time to shard-local dispatch (set by
@@ -442,8 +444,10 @@ class Machine:
         :func:`repro.arch.build_backend`.
 
         A spec is anything with ``resolve().root`` and ``root_core``
-        (``repro.parallel.WorkloadSpec``).  ``timeout`` bounds the
-        sharded backend's reply waits and means nothing in-process.
+        (``repro.parallel.WorkloadSpec``).  ``timeout`` is the run's
+        wall-clock budget in seconds: :class:`~repro.core.errors.
+        SimTimeout` once it is spent; ``None`` runs unbounded (and never
+        reads the clock).
 
         With ``checkpoint_every`` the run stops at virtual times
         ``every``, ``2 * every``, ... (boundaries a segment overshot are
@@ -457,6 +461,8 @@ class Machine:
         and checkpoints only past it.  Stopping and resuming is
         observation-only (see :meth:`resume_run`).
         """
+        if timeout is not None:
+            self._deadline = time.perf_counter() + timeout
         roots = [(spec.resolve().root, (), spec.root_core) for spec in specs]
         every = None
         if checkpoint_every is not None:
@@ -769,6 +775,13 @@ class Machine:
         """
         return self.tracer.export() if self.tracer is not None else None
 
+    def telemetry_snapshot(self) -> Optional[dict]:
+        """This run's telemetry so far; ``None`` when ``cfg.telemetry``
+        is off (the accessor :class:`~repro.parallel.coordinator.
+        ShardedMachine` shares)."""
+        tel = self.telemetry
+        return tel.snapshot() if tel is not None else None
+
     @property
     def completion_time(self) -> float:
         """Virtual time at which the root task finished."""
@@ -875,12 +888,21 @@ class Machine:
         policy = self.policy
         interval = self.params.parallelism_sample_interval
         horizon = self._horizon
+        deadline = self._deadline
         vtimes = self.fabric.vtime
         in_ready_col = self._in_ready_col
         pops = 0
         if self._wave_floors:
             self._prime_floor_cache()
         while ready:
+            # The one place a budgeted run reads the clock: this loop is
+            # entered about once per run, so a check outside it would
+            # never fire.
+            if deadline is not None and time.perf_counter() > deadline:
+                raise SimTimeout(
+                    f"run exceeded its wall-clock budget at virtual time "
+                    f"{self.fabric.max_vtime:g} with {self.live_tasks} "
+                    f"tasks live")
             core = ready.popleft()
             in_ready_col[core.cid] = 0
             if (vtimes[core.cid] >= horizon

@@ -25,6 +25,11 @@ class SimConfigError(SimError):
     """Invalid architecture or engine configuration."""
 
 
+class SimTimeout(SimError):
+    """A run spent the wall-clock budget its caller gave it
+    (``run_workloads(timeout=...)``) before completing."""
+
+
 class ShardBoundaryError(SimError):
     """A run-time protocol message tried to cross a shard boundary.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 
@@ -47,29 +47,21 @@ class SimStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary for report tables."""
-        out = {
-            "n_cores": self.n_cores,
-            "completion_vtime": self.completion_vtime,
-            "wall_seconds": self.wall_seconds,
-            "actions": self.actions,
-            "compute_actions": self.compute_actions,
-            "mem_accesses": self.mem_accesses,
-            "cell_accesses": self.cell_accesses,
-            "remote_cell_accesses": self.remote_cell_accesses,
-            "context_switches": self.context_switches,
-            "tasks_started": self.tasks_started,
-            "tasks_spawned_remote": self.tasks_spawned_remote,
-            "tasks_run_inline": self.tasks_run_inline,
-            "drift_stalls": self.drift_stalls,
-            "lock_waiver_runs": self.lock_waiver_runs,
-            "out_of_order_msgs": self.out_of_order_msgs,
-            "shadow_recomputes": self.shadow_recomputes,
-            "total_messages": self.total_messages,
-        }
+        out = {name: getattr(self, name) for name in SCALAR_FIELDS}
+        out["total_messages"] = self.total_messages
         for kind, count in self.messages_by_kind.items():
             out[f"msgs_{kind.value}"] = count
         out.update({f"noc_{k}": v for k, v in self.noc.items()})
         return out
+
+
+#: The scalar fields, in declaration order (``as_dict`` reports them),
+#: and the event counters among them (sharded workers' stats merge by
+#: summing these).  Derived, so a new counter is reported and merged.
+SCALAR_FIELDS = tuple(f.name for f in fields(SimStats)
+                      if f.type in ("int", "float"))
+COUNTER_FIELDS = tuple(f.name for f in fields(SimStats)
+                       if f.type == "int" and f.name != "n_cores")
 
 
 class WallTimer:

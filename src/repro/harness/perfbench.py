@@ -4,8 +4,9 @@ The paper's headline claim is raw simulation speed, so the repo keeps a
 machine-readable record of engine throughput in ``BENCH_engine.json`` at
 the repository root.  The suite measures the individually-optimised layers
 (engine step dispatch, compute fusion, messaging, virtual-time fabric,
-route resolution) plus one end-to-end dwarf per memory model on the
-Fig. 7 style 64-core machine.
+route resolution) — what the end-to-end benchmark (``benchmarks/e2e``,
+whose ``serial_64`` and ``sharded_64x2`` workloads run whole dwarfs
+verified and digest-pinned) does not measure on its own.
 
 Every benchmark reports:
 
@@ -15,13 +16,13 @@ Every benchmark reports:
 * ``events_per_sec`` — the headline throughput number.
 
 ``benchmarks/perf/check_regression.py`` compares a fresh run against the
-committed baseline and fails CI on a >25% events/sec regression.
+committed record and fails CI on an events/sec regression beyond its
+tolerance.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import random
 import sys
@@ -30,12 +31,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..arch import build_machine, dist_mesh, numa_mesh, shared_mesh
+from ..arch import build_machine, shared_mesh
 from ..core.fabric import VirtualTimeFabric
 from ..core.task import TaskGroup
 from ..network.routing import RoutingTable
 from ..network.topology import square_mesh
-from ..workloads import get_workload
 
 #: File name of the committed benchmark record (repo root).
 BENCH_FILE = "BENCH_engine.json"
@@ -204,120 +204,6 @@ def bench_route_resolution(n_cores: int = 1024, few: int = 48,
             "trees": routing.trees_built}
 
 
-def _bench_e2e(benchmark: str, memory: str, n_cores: int = 64,
-               scale: str = "medium", seed: int = 0) -> Dict[str, float]:
-    """One end-to-end dwarf on the Fig. 7 style 64-core machine."""
-    if memory == "shared":
-        cfg = shared_mesh(n_cores)
-    elif memory == "numa":
-        cfg = numa_mesh(n_cores)
-    else:
-        cfg = dist_mesh(n_cores)
-    workload = get_workload(benchmark, scale=scale, seed=seed, memory=memory)
-    machine = build_machine(cfg)
-    t0 = time.perf_counter()
-    machine.run(workload.root)
-    wall = time.perf_counter() - t0
-    events = machine.stats.actions + machine.stats.total_messages
-    return {"wall_s": wall, "events": events}
-
-
-def _cross_pingpong(peer: int, rounds: int = 8):
-    """Spawn-importable factory: root pings ``peer`` across the fence.
-
-    The sharded bench entry pairs this with :func:`_cross_echo` on a
-    remote shard so the run exercises the cross-shard USER-message path
-    (edge pipes + board count matrix) and the entry's ``bytes_shipped``
-    / ``bytes_by_edge`` counters record real traffic.
-    """
-    from types import SimpleNamespace
-
-    def root(ctx):
-        for i in range(rounds):
-            yield ctx.send(peer, payload=i, tag=("bping", i))
-            yield ctx.recv(tag=("bpong", i))
-        return rounds
-
-    return SimpleNamespace(root=root)
-
-
-def _cross_echo(rounds: int = 8):
-    """Spawn-importable factory: answers :func:`_cross_pingpong`."""
-    from types import SimpleNamespace
-
-    def root(ctx):
-        for i in range(rounds):
-            msg = yield ctx.recv(tag=("bping", i))
-            yield ctx.send(msg.src, payload=msg.payload, tag=("bpong", i))
-        return rounds
-
-    return SimpleNamespace(root=root)
-
-
-def _bench_e2e_sharded(n_cores: int = 64, shards: int = 4,
-                       scale: str = "medium", seed: int = 0,
-                       chat_rounds: int = 8) -> Dict[str, float]:
-    """The sharded backend on a fenced 64-core machine, one root per
-    shard region (the backend's intended load shape).
-
-    Wall time includes worker start-up (forked children where the
-    platform allows, else spawned interpreters), so on a single-CPU
-    host this entry honestly records the coordination overhead; a >1x
-    speedup over the equivalent fenced serial run needs real parallel
-    hardware.  The record's ``host_cpus`` field captures which regime a
-    committed number came from, and the round-protocol counters riding
-    along in the result (rounds, waivers, bytes shipped,
-    ``parallel_efficiency``) explain where the wall time went.  Event
-    counts are the merged per-worker stats and are deterministic, like
-    every other entry.
-    """
-    import dataclasses
-
-    from ..arch import build_backend
-    from ..parallel import WorkloadSpec
-
-    cfg = dataclasses.replace(shared_mesh(n_cores), shards=shards,
-                              backend="sharded")
-    per_shard = n_cores // shards
-    specs = [
-        WorkloadSpec("quicksort", scale=scale, seed=seed + i,
-                     memory="shared", root_core=i * per_shard)
-        for i in range(shards)
-    ]
-    # A ping/echo pair spanning the first and last shard keeps real
-    # USER traffic flowing across the fence, so the bytes_shipped /
-    # bytes_by_edge counters below measure the edge-pipe path instead
-    # of reporting an (accurate but uninformative) zero for a purely
-    # fenced load.
-    specs += [
-        WorkloadSpec("cross_pingpong", root_core=1,
-                     factory="repro.harness.perfbench:_cross_pingpong",
-                     kwargs={"peer": n_cores - 1, "rounds": chat_rounds}),
-        WorkloadSpec("cross_echo", root_core=n_cores - 1,
-                     factory="repro.harness.perfbench:_cross_echo",
-                     kwargs={"rounds": chat_rounds}),
-    ]
-    backend = build_backend(cfg)
-    t0 = time.perf_counter()
-    backend.run_workloads(specs)
-    wall = time.perf_counter() - t0
-    events = backend.stats.actions + backend.stats.total_messages
-    proto = backend.protocol
-    # Round-protocol counters ride along in the record so BENCH
-    # trajectories explain *why* this number moved (fewer rounds?
-    # cheaper rounds? more parallel hardware?).
-    return {
-        "wall_s": wall,
-        "events": events,
-        "rounds": proto["rounds"],
-        "waivers": proto["waivers"],
-        "window_peak": proto["window_peak"],
-        "bytes_shipped": proto["bytes_shipped"],
-        "bytes_by_edge": proto["bytes_by_edge"],
-        "parallel_efficiency": proto["parallel_efficiency"],
-    }
-
-
 #: Benchmark registry: name -> (callable, quick-mode kwargs).
 SUITE: Dict[str, tuple] = {
     "engine_steps": (bench_engine_steps, {"n_actions": 4_000}),
@@ -328,22 +214,6 @@ SUITE: Dict[str, tuple] = {
     "route_resolution_1024": (
         bench_route_resolution,
         {"few": 6, "far_each": 32, "many": 40},
-    ),
-    "e2e_quicksort_shared_64": (
-        lambda **kw: _bench_e2e("quicksort", "shared", **kw),
-        {"scale": "small"},
-    ),
-    "e2e_connected_components_dist_64": (
-        lambda **kw: _bench_e2e("connected_components", "distributed", **kw),
-        {"scale": "small"},
-    ),
-    "e2e_dijkstra_numa_64": (
-        lambda **kw: _bench_e2e("dijkstra", "numa", **kw),
-        {"scale": "small"},
-    ),
-    "e2e_sharded_quicksort_64x4": (
-        _bench_e2e_sharded,
-        {"scale": "small", "chat_rounds": 2},
     ),
 }
 
@@ -393,15 +263,6 @@ def run_suite(
                 f"{best['events_per_sec']:>12.0f} events/s",
                 file=out,
             )
-            if "rounds" in best:  # sharded entries explain their number
-                print(
-                    f"  {'':34s} rounds={best['rounds']} "
-                    f"waivers={best['waivers']} "
-                    f"window_peak=x{best['window_peak']:g} "
-                    f"bytes={best['bytes_shipped']} "
-                    f"par_eff={best['parallel_efficiency']:.1%}",
-                    file=out,
-                )
     return results
 
 
@@ -410,38 +271,17 @@ def effective_kernel() -> str:
     return "vectorized"
 
 
-def make_record(
-    results: Dict[str, Dict[str, float]],
-    baseline: Optional[Dict] = None,
-    repeat: int = 3,
-) -> Dict:
+def make_record(results: Dict[str, Dict[str, float]], repeat: int = 3) -> Dict:
     """Assemble the JSON document written to ``BENCH_engine.json``."""
-    record = {
-        "schema": 2,
+    return {
+        "schema": 3,
         "suite": "repro-perf",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        # Schema-2 metadata; constant now, kept so records stay comparable.
-        "engine_kernel": effective_kernel(),
         "repeat": repeat,
-        # Sharded-backend entries only beat their serial counterparts
-        # with real parallel hardware; record what this host had.
-        "host_cpus": os.cpu_count(),
         "results": results,
     }
-    if baseline:
-        base_results = baseline.get("results", baseline)
-        record["baseline"] = base_results
-        speedups = {}
-        for name, res in results.items():
-            base = base_results.get(name)
-            if base and base.get("events_per_sec"):
-                speedups[name] = round(
-                    res["events_per_sec"] / base["events_per_sec"], 3
-                )
-        record["speedup_vs_baseline"] = speedups
-    return record
 
 
 def load_record(path: str) -> Optional[Dict]:
@@ -467,16 +307,21 @@ def run_and_write(
           + (" (quick)" if quick else "")
           + f", best of {repeat}:", file=out)
     results = run_suite(repeat=repeat, quick=quick, only=only, out=out)
-    baseline = load_record(baseline_path) if baseline_path else None
-    record = make_record(results, baseline=baseline, repeat=repeat)
+    record = make_record(results, repeat=repeat)
     if output:
         with open(output, "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {output}", file=out)
-    if "speedup_vs_baseline" in record:
-        for name, ratio in sorted(record["speedup_vs_baseline"].items()):
-            print(f"  speedup {name:30s} {ratio:.2f}x", file=out)
+    # Ratios against a previous record are printed, never embedded: a
+    # record that carries its predecessor goes stale with it.
+    baseline = load_record(baseline_path) if baseline_path else None
+    base_results = (baseline or {}).get("results", {})
+    for name, res in sorted(results.items()):
+        base_rate = base_results.get(name, {}).get("events_per_sec")
+        if base_rate:
+            print(f"  speedup {name:30s} "
+                  f"{res['events_per_sec'] / base_rate:.2f}x", file=out)
     return record
 
 

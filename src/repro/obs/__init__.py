@@ -27,13 +27,10 @@ __all__ = [
 
 
 def collect_snapshot(backend) -> Optional[dict]:
-    """Uniform snapshot access: sharded backends expose a merged
-    ``telemetry_snapshot()``; a serial machine carries ``.telemetry``."""
-    getter = getattr(backend, "telemetry_snapshot", None)
-    if getter is not None:
-        return getter()
-    telemetry = getattr(backend, "telemetry", None)
-    return telemetry.snapshot() if telemetry is not None else None
+    """A backend's telemetry snapshot (``None`` with telemetry off):
+    the serial machine's registry, or the sharded backend's merged
+    coordinator + worker view."""
+    return backend.telemetry_snapshot()
 
 
 def collect_live_snapshot(backend, retries: int = 5) -> Optional[dict]:

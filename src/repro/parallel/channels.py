@@ -51,18 +51,16 @@ from ..core.fabric import INF
 from ..core.messages import Message, MsgKind
 
 
-def resolve_start_method(method: str) -> str:
-    """Map ``ArchConfig.worker_start_method`` to a concrete method:
-    ``auto`` picks ``fork`` where the platform offers it (workers
-    inherit the parent's imports — milliseconds instead of the ~seconds
-    a spawned interpreter pays to boot and re-import) and falls back to
-    ``spawn`` elsewhere (Windows, macOS default)."""
+def resolve_start_method() -> str:
+    """How this host starts shard workers: ``fork`` where the platform
+    offers it (workers inherit the parent's imports — milliseconds
+    instead of the ~seconds a spawned interpreter pays to boot and
+    re-import), else ``spawn``.  Derived from the host, not configured:
+    how a worker boots cannot reach the simulated machine."""
     import multiprocessing
 
-    if method == "auto":
-        return ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
-    return method
+    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
 
 
 @dataclass
@@ -202,16 +200,6 @@ class SharedRoundBoard:
             self.shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
-
-
-def encode_message(msg: Message) -> tuple:
-    """Flatten one boundary-crossing message for the wire.
-
-    Kept for direct (non-batched) use; the round protocol ships
-    :func:`encode_batch` columns instead.
-    """
-    return (msg.kind, msg.src, msg.dst, msg.send_time, msg.size,
-            msg.arrival, msg.payload, msg.tag)
 
 
 def encode_batch(msgs: List[Message]) -> bytes:

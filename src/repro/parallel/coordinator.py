@@ -4,8 +4,8 @@ The :class:`ShardedMachine` is the sharded backend's counterpart to
 :class:`~repro.core.engine.Machine`.  It spawns one worker process per
 shard (``fork`` where the host supports it — workers inherit the
 parent's imports instead of booting fresh interpreters — else
-``spawn``; see ``ArchConfig.worker_start_method``) and drives them
-through lockstep **coordination rounds** over a
+``spawn``; see :func:`~repro.parallel.channels.resolve_start_method`)
+and drives them through lockstep **coordination rounds** over a
 :class:`~repro.parallel.channels.SharedRoundBoard`:
 
 1. broadcast ``("go", horizon, lift, waive)`` — the safe execution
@@ -59,26 +59,22 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..arch.builder import build_topology
 from ..core.errors import (SanitizerViolation, SimConfigError, SimDeadlock,
-                           SimError)
+                           SimError, SimTimeout)
 from ..core.fabric import INF, exact_shadow_fixpoint
-from ..core.stats import SimStats
+from ..core.stats import COUNTER_FIELDS, SimStats
 from ..obs.registry import ROUND_MS_BOUNDS, WINDOW_BOUNDS
-from .channels import (SharedRoundBoard, WorkloadSpec, make_edge_channels,
+from .channels import (SharedRoundBoard, make_edge_channels,
                        resolve_start_method)
 from .partition import Partition, contiguous_partition
 from .worker import worker_main
 
-#: Scalar SimStats counters merged by summation across workers.
-_SUM_FIELDS = (
-    "actions", "compute_actions", "mem_accesses", "cell_accesses",
-    "remote_cell_accesses", "context_switches", "tasks_started",
-    "tasks_spawned_remote", "tasks_run_inline", "drift_stalls",
-    "lock_waiver_runs", "out_of_order_msgs", "shadow_recomputes",
-)
+#: Liveness bound on one worker reply: a worker silent for this long
+#: is hung or dead, whatever the run's own budget says.
+_REPLY_WAIT_S = 300.0
 
 #: Sync policies the sharded backend supports.  The other policies
 #: arbitrate through *global* referee state (a total event order, a
@@ -107,10 +103,6 @@ class ShardedMachine:
         results = backend.run_workloads(
             [WorkloadSpec("quicksort", scale="tiny", root_core=0)])
     """
-
-    #: Unit of this backend's checkpoint boundaries (coordination
-    #: rounds; the serial machine counts virtual-time cycles).
-    boundary_unit = "round"
 
     def __init__(self, cfg) -> None:
         if cfg.shards < 1:
@@ -162,39 +154,46 @@ class ShardedMachine:
             self.telemetry = Telemetry(cfg.telemetry, cfg.n_cores)
         self._board: Optional[SharedRoundBoard] = None
         self._ran = False
-        # Checkpoint/restore hooks; see run_workloads.
-        self._checkpoint_every: Optional[int] = None
+        # Run budget and checkpoint/restore hooks; see run_workloads.
+        self._deadline: Optional[float] = None  # perf_counter() value
+        self._checkpoint_every: Optional[float] = None
         self._checkpoint_sink = None
-        self._verify_at: Optional[int] = None
+        self._verify_at: Optional[float] = None
         self._verify_states: Optional[List[dict]] = None
 
     # -- public API ------------------------------------------------------
     def run_workloads(
         self,
-        specs: Sequence[WorkloadSpec],
-        timeout: Optional[float] = 300.0,
+        specs: Sequence[Any],
+        timeout: Optional[float] = None,
         *,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_sink=None,
-        verify_at: Optional[int] = None,
+        checkpoint_every: Optional[float] = None,
+        checkpoint_sink: Optional[Callable[[float, List[dict]], None]] = None,
+        verify_at: Optional[float] = None,
         verify_states: Optional[List[dict]] = None,
-    ) -> List[object]:
+    ) -> List[Any]:
         """Run the given workload roots to completion; return their results
-        in spec order.
+        in spec order.  Same signature, and the same meaning of every
+        argument, as :meth:`repro.core.engine.Machine.run_workloads`.
 
-        ``timeout`` bounds each coordination step (per-worker reply
-        wait), not the whole run; ``None`` disables it.
+        ``timeout`` is the run's wall-clock budget in seconds:
+        :class:`~repro.core.errors.SimTimeout` once it is spent (the
+        workers are terminated on the way out); ``None`` runs unbounded.
 
-        Checkpointing (``repro.checkpoint``): with ``checkpoint_every``
-        set, every that-many coordination rounds the coordinator pauses
-        at the round barrier, asks each worker for its machine-state
-        capture, and hands ``(round_no, [state, ...])`` to
-        ``checkpoint_sink``.  With ``verify_at``/``verify_states``
-        set, this run is a *restore replay*: at that round barrier each
+        Checkpointing (``repro.checkpoint``): boundaries are virtual
+        times ``every``, ``2 * every``, ...  At a round barrier with
+        work still live, the *frontier* — the largest virtual time any
+        core has reached, read off the round board — is compared with
+        the next boundary ``k``; once it reaches ``k`` each worker
+        ships its machine-state capture, ``(k, [state, ...])`` goes to
+        ``checkpoint_sink``, and ``k`` moves past the frontier
+        (boundaries one round overshot are skipped).  With
+        ``verify_at``/``verify_states`` this run is a *restore replay*:
+        at the first barrier whose frontier reaches ``verify_at`` each
         worker's capture must be bit-identical to the stored one —
         :class:`~repro.checkpoint.codec.CheckpointMismatchError`
-        otherwise, including when the run ends before ever reaching the
-        round.
+        otherwise, including when the run ends before the boundary —
+        and checkpoints are taken only past it.
         """
         if self._ran:
             raise SimError(
@@ -206,10 +205,10 @@ class ShardedMachine:
                 raise SimConfigError(
                     f"root core {spec.root_core} out of range")
         if checkpoint_every is not None:
-            checkpoint_every = int(checkpoint_every)
-            if checkpoint_every < 1:
+            checkpoint_every = float(checkpoint_every)
+            if checkpoint_every <= 0:
                 raise SimConfigError(
-                    f"checkpoint_every must be >= 1, got {checkpoint_every}")
+                    f"checkpoint_every must be > 0, got {checkpoint_every}")
         if (verify_states is not None
                 and len(verify_states) != self.partition.n_shards):
             from ..checkpoint.codec import CheckpointError
@@ -220,10 +219,11 @@ class ShardedMachine:
                 "onto a different shard count is not supported")
         self._checkpoint_every = checkpoint_every
         self._checkpoint_sink = checkpoint_sink
-        self._verify_at = None if verify_at is None else int(verify_at)
+        self._verify_at = verify_at
         self._verify_states = verify_states
         t_start = time.perf_counter()
         self._t0 = t_start  # wall-clock origin for telemetry events
+        self._deadline = None if timeout is None else t_start + timeout
         self._profiler = None
         if (self.telemetry is not None
                 and "profile" in self.telemetry.parts):
@@ -232,8 +232,7 @@ class ShardedMachine:
             # Samples coordinator phases (dispatch/wait_workers/
             # coordinate); each worker runs its own profiler in-process.
             self._profiler = SamplingProfiler(self.telemetry).start()
-        mp_ctx = multiprocessing.get_context(
-            resolve_start_method(self.cfg.worker_start_method))
+        mp_ctx = multiprocessing.get_context(resolve_start_method())
         part = self.partition
         topo = build_topology(self.cfg)
         self._neighbors = [topo.neighbors(c)
@@ -257,7 +256,7 @@ class ShardedMachine:
                 child_conn.close()
                 ctrl.append(parent_conn)
                 workers.append(proc)
-            results = self._drive(specs, ctrl, timeout)
+            results = self._drive(specs, ctrl)
         finally:
             for proc in workers:
                 if proc.is_alive():
@@ -278,7 +277,7 @@ class ShardedMachine:
         return results
 
     # -- coordination loop ----------------------------------------------
-    def _drive(self, specs, ctrl, timeout) -> List[object]:
+    def _drive(self, specs, ctrl) -> List[Any]:
         cfg = self.cfg
         spatial = cfg.sync == "spatial"
         T = cfg.drift_bound
@@ -315,6 +314,12 @@ class ShardedMachine:
         #   stall 3 — even the forced slice produced nothing: genuine
         #             deadlock (there is no work left to force).
         stall = 0
+        # Virtual-time boundaries, the serial rule: ``k`` walks the
+        # multiples of ``checkpoint_every``, ``stop`` is where the next
+        # barrier action (verification first, on a replay) is due.
+        k = self._checkpoint_every
+        stop = k if self._verify_at is None else self._verify_at
+        frontier = 0.0
         tel = self.telemetry
         if tel is not None:
             window_hist = tel.registry.histogram(
@@ -341,7 +346,7 @@ class ShardedMachine:
                 conn.send(("go", horizon, lift, sid == waive_sid))
             if tel is not None:
                 tel.phase = "wait_workers"
-            statuses = [self._expect(conn, "status", timeout) for conn in ctrl]
+            statuses = [self._expect(conn, "status") for conn in ctrl]
             if tel is not None:
                 tel.phase = "coordinate"
                 window_hist.observe(window)
@@ -353,16 +358,23 @@ class ShardedMachine:
                 break
             # Round barrier: workers are blocked on the next command, so
             # their machine state is frozen — the safe point for
-            # checkpoint capture and restore verification.  A restore
-            # replay checkpoints only past its verified boundary (an
-            # earlier capture would replace the newer one it resumes).
-            if self._verify_at == self.rounds:
-                self._verify_worker_states(ctrl, timeout)
-            elif (self._checkpoint_every is not None
-                    and self.rounds % self._checkpoint_every == 0
-                    and self.rounds > (self._verify_at or 0)):
-                self._checkpoint_sink(
-                    self.rounds, self._collect_worker_states(ctrl, timeout))
+            # checkpoint capture and restore verification.  ``stop`` is
+            # the next virtual time either is due at; a restore replay
+            # checkpoints only past its verified boundary (an earlier
+            # capture would replace the newer one it resumes).
+            if stop is not None:
+                frontier = max(frontier, float(self._board.vtime.max()))
+                if frontier >= stop:
+                    if self._verify_at is not None:
+                        self._verify_worker_states(ctrl)
+                        self._verify_at = None
+                    else:
+                        self._checkpoint_sink(
+                            k, self._collect_worker_states(ctrl))
+                    if k is not None:
+                        while k <= frontier:
+                            k += self._checkpoint_every
+                    stop = k
             sent_total = sum(s[2] for s in statuses)
             progressed = any(s[1] for s in statuses) or sent_total > 0
             global_min = min(s[4] for s in statuses)
@@ -396,30 +408,28 @@ class ShardedMachine:
                 horizon = global_min + T * window
             else:
                 horizon = INF
-        if (self._verify_at is not None
-                and self.rounds < self._verify_at):
+        if self._verify_at is not None:
             from ..checkpoint.codec import CheckpointMismatchError
 
             raise CheckpointMismatchError(
                 f"restore replay completed after {self.rounds} rounds, "
-                f"before reaching the snapshot's round "
-                f"{self._verify_at}; the replay did not reproduce the "
+                f"before its frontier reached the snapshot's boundary "
+                f"{self._verify_at:g}; the replay did not reproduce the "
                 "checkpointed trajectory")
         for conn in ctrl:
             conn.send(("stop",))
-        return self._finalize(specs, ctrl, timeout)
+        return self._finalize(specs, ctrl)
 
-    def _collect_worker_states(self, ctrl, timeout) -> List[dict]:
+    def _collect_worker_states(self, ctrl) -> List[dict]:
         """Gather every worker's machine-state capture at a barrier."""
         for conn in ctrl:
             conn.send(("snapshot",))
-        return [self._expect(conn, "state", timeout)[1] for conn in ctrl]
+        return [self._expect(conn, "state")[1] for conn in ctrl]
 
-    def _verify_worker_states(self, ctrl, timeout) -> None:
+    def _verify_worker_states(self, ctrl) -> None:
         from ..checkpoint.state import verify_machine_state
 
-        for sid, actual in enumerate(self._collect_worker_states(ctrl,
-                                                                 timeout)):
+        for sid, actual in enumerate(self._collect_worker_states(ctrl)):
             try:
                 verify_machine_state(self._verify_states[sid], actual)
             except Exception as exc:
@@ -476,7 +486,7 @@ class ShardedMachine:
             self._neighbors, board.active, board.vtime,
             self.cfg.drift_bound)
 
-    def _finalize(self, specs, ctrl, timeout) -> List[object]:
+    def _finalize(self, specs, ctrl) -> List[Any]:
         results: Dict[int, object] = {}
         finishes: Dict[int, Optional[float]] = {}
         worker_stats: List[SimStats] = []
@@ -485,7 +495,7 @@ class ShardedMachine:
         traces = []
         obs_snaps = []
         for sid, conn in enumerate(ctrl):
-            reply = self._expect(conn, "done", timeout)
+            reply = self._expect(conn, "done")
             worker_stats.append(reply[1])
             results.update(reply[2])
             finishes.update(reply[3])
@@ -511,16 +521,7 @@ class ShardedMachine:
                 f"workload specs {missing} produced no result; "
                 f"check their root_core assignments")
         self._merge_stats(worker_stats, finishes)
-        self.protocol = {
-            "rounds": self.rounds,
-            "rescues": self.rescues,
-            "reliefs": self.reliefs,
-            "waivers": self.waivers,
-            "window_peak": self.window_peak,
-            "bytes_by_edge": bytes_by_edge,
-            "bytes_shipped": sum(bytes_by_edge.values()),
-            "worker_busy_s": round(busy_total, 6),
-        }
+        self._set_protocol(bytes_by_edge, busy_total)
         tel = self.telemetry
         if tel is not None:
             from ..obs import merge_snapshots
@@ -544,6 +545,19 @@ class ShardedMachine:
             self._merged_obs = merge_snapshots([tel.snapshot()] + obs_snaps)
         return [results[i] for i in range(len(specs))]
 
+    def _set_protocol(self, bytes_by_edge: Dict[str, int],
+                      worker_busy_s: float) -> None:
+        self.protocol = {
+            "rounds": self.rounds,
+            "rescues": self.rescues,
+            "reliefs": self.reliefs,
+            "waivers": self.waivers,
+            "window_peak": self.window_peak,
+            "bytes_by_edge": bytes_by_edge,
+            "bytes_shipped": sum(bytes_by_edge.values()),
+            "worker_busy_s": round(worker_busy_s, 6),
+        }
+
     def telemetry_snapshot(self) -> Optional[dict]:
         """Merged telemetry (coordinator + workers); ``None`` when
         ``cfg.telemetry`` is off or the run has not finished."""
@@ -552,7 +566,7 @@ class ShardedMachine:
     def _merge_stats(self, worker_stats, finishes) -> None:
         merged = self.stats
         for st in worker_stats:
-            for name in _SUM_FIELDS:
+            for name in COUNTER_FIELDS:
                 setattr(merged, name, getattr(merged, name) + getattr(st, name))
             merged.messages_by_kind.update(st.messages_by_kind)
             merged.parallelism_samples.extend(st.parallelism_samples)
@@ -569,11 +583,20 @@ class ShardedMachine:
                 (st.completion_vtime for st in worker_stats), default=0.0)
 
     # -- plumbing --------------------------------------------------------
-    def _expect(self, conn, tag: str, timeout):
-        """Receive one worker reply, surfacing worker errors/timeouts."""
-        if timeout is not None and not conn.poll(timeout):
+    def _expect(self, conn, tag: str):
+        """Receive one worker reply, surfacing worker errors and the run
+        budget (what is left of ``timeout`` bounds the wait)."""
+        deadline = self._deadline
+        wait = _REPLY_WAIT_S
+        if deadline is not None:
+            wait = min(wait, max(0.0, deadline - time.perf_counter()))
+        if not conn.poll(wait):
+            if deadline is not None and time.perf_counter() >= deadline:
+                raise SimTimeout(
+                    f"run exceeded its wall-clock budget after "
+                    f"{self.rounds} rounds (waiting for {tag!r})")
             raise SimError(
-                f"shard worker did not reply within {timeout}s "
+                f"shard worker did not reply within {_REPLY_WAIT_S:g}s "
                 f"(waiting for {tag!r})")
         reply = conn.recv()
         if reply[0] == "violation":
@@ -599,16 +622,7 @@ class ShardedMachine:
         # Leave the protocol counters inspectable on the (dead) backend:
         # the diagnostics travel with the exception, but tests and
         # harness code read ``backend.protocol`` uniformly.
-        self.protocol = {
-            "rounds": self.rounds,
-            "rescues": self.rescues,
-            "reliefs": self.reliefs,
-            "waivers": self.waivers,
-            "window_peak": self.window_peak,
-            "bytes_by_edge": {},
-            "bytes_shipped": 0,
-            "worker_busy_s": 0.0,
-        }
+        self._set_protocol({}, 0.0)
         raise SimDeadlock(
             f"sharded run cannot make progress: {live} live tasks, "
             f"no runnable work even in an unbounded relief round",
@@ -632,4 +646,4 @@ class ShardedMachine:
             extras += f", telemetry {self.telemetry.describe()}"
         return (f"sharded backend: {self.partition.describe()}, "
                 f"sync={cfg.sync} T={cfg.drift_bound}, {extras}, "
-                f"start={resolve_start_method(cfg.worker_start_method)}")
+                f"start={resolve_start_method()}")

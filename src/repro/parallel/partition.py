@@ -61,10 +61,6 @@ class Partition:
         """Core ids owned by shard ``sid`` (ascending)."""
         return self.shards[sid]
 
-    def same_shard(self, a: int, b: int) -> bool:
-        """Whether two cores belong to the same shard."""
-        return self.owner[a] == self.owner[b]
-
     def proxies_of(self, sid: int) -> Tuple[int, ...]:
         """Remote cores topologically adjacent to shard ``sid``.
 

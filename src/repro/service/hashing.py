@@ -280,8 +280,7 @@ def _resolve_options(payload: Any) -> Dict[str, Any]:
     if every is not None and (not isinstance(every, (int, float))
                               or isinstance(every, bool) or every <= 0):
         raise SpecError("checkpoint_every must be a positive number "
-                        f"(virtual-time cycles serial / rounds sharded), "
-                        f"got {every!r}")
+                        f"(virtual-time cycles), got {every!r}")
     return options
 
 

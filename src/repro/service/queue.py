@@ -13,10 +13,12 @@ its own.  The queue contributes exactly four behaviours:
 * **de-duplication** — a submission whose hash matches a job that is
   currently queued or running returns *that* job instead of enqueueing
   a second simulation of the same spec;
-* **per-job timeouts** — each job runs in its own thread which the pool
-  worker joins with a deadline; on expiry the job fails with a
-  ``timeout`` error and any late result from the abandoned run is
-  discarded (never stored, never reported);
+* **per-job timeouts** — the job's limit is the run's wall-clock budget
+  (``run_workloads(timeout=)``: the simulation itself stops, on either
+  backend) and the deadline the pool worker joins the job's thread
+  with; whichever fires first fails the job with a ``timeout`` error,
+  and a late result from a thread that outlived the join is discarded
+  (never stored, never reported);
 * **checkpointed execution** — a job submitted with the
   ``checkpoint_every`` option persists a run snapshot
   (``repro.checkpoint``) beside the result cache at every boundary it
@@ -44,6 +46,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional
 
+from ..core.errors import SimTimeout
 from ..obs.registry import MetricsRegistry
 from .hashing import ResolvedSpec
 from .store import ResultStore
@@ -292,13 +295,13 @@ class JobQueue:
     def _run_with_timeout(self, job: Job) -> None:
         """Run one job in a joinable child thread, bounded by its timeout.
 
-        The child thread cannot be killed (Python offers no safe thread
-        cancellation), so on timeout the job is *failed and abandoned*:
-        its eventual result is discarded by the ``_finish`` state guard,
-        the pool slot is reclaimed immediately, and the daemon child
-        exits with the process.  Sharded jobs additionally get the
-        timeout as their per-coordination-step bound, which terminates
-        their worker processes for real.
+        The simulation enforces the limit itself (``_execute`` hands it
+        to ``run_workloads`` as the run's budget, which raises
+        ``SimTimeout`` and, sharded, terminates the worker processes).
+        The join is the outer guard for whatever else the thread may be
+        stuck in: a thread cannot be killed, so then the job is *failed
+        and abandoned* — its eventual result is discarded by the
+        ``_finish`` state guard and the pool slot is reclaimed at once.
         """
         job._start()
         runner = threading.Thread(target=self._execute_guarded, args=(job,),
@@ -306,22 +309,27 @@ class JobQueue:
         runner.start()
         runner.join(job.timeout_s)
         if runner.is_alive():
-            # A checkpointing job is not *lost* on timeout: its latest
-            # snapshot stays on disk and the job is marked resumable,
-            # so resubmitting the same spec continues from the
-            # checkpoint instead of restarting from zero.
-            resumable = self._checkpoint_on_disk(job)
-            message = f"job exceeded {job.timeout_s:g}s wall-clock limit"
-            if resumable:
-                message += ("; checkpoint retained, resubmit to resume "
-                            "from it")
-            if resumable:
-                job.resumable = True  # before the fail event wakes waiters
-            if job._fail("timeout", message):
-                self.registry.counters["service.timeouts"] += 1
-                if resumable:
-                    self.registry.counters["service.timeouts_resumable"] += 1
+            self._fail_timeout(job)
             self._release(job)
+
+    def _fail_timeout(self, job: Job) -> None:
+        """Fail ``job`` as timed out — the one outcome of the join expiry
+        and of the run's own ``SimTimeout``, whichever comes first.
+
+        A checkpointing job is not *lost* on timeout: its latest
+        snapshot stays on disk and the job is marked resumable, so
+        resubmitting the same spec continues from the checkpoint
+        instead of restarting from zero.
+        """
+        resumable = self._checkpoint_on_disk(job)
+        message = f"job exceeded {job.timeout_s:g}s wall-clock limit"
+        if resumable:
+            message += "; checkpoint retained, resubmit to resume from it"
+            job.resumable = True  # before the fail event wakes waiters
+        if job._fail("timeout", message):
+            self.registry.counters["service.timeouts"] += 1
+            if resumable:
+                self.registry.counters["service.timeouts_resumable"] += 1
 
     def _execute_guarded(self, job: Job) -> None:
         try:
@@ -339,6 +347,8 @@ class JobQueue:
                 self._discard_checkpoint(job)
             if job._finish(document):
                 self.registry.counters["service.completed"] += 1
+        except SimTimeout:
+            self._fail_timeout(job)
         except Exception as exc:  # noqa: BLE001 - report, don't crash pool
             # Flag resumability *before* the fail event wakes waiters,
             # so a client observing the terminal state always sees it.
@@ -387,10 +397,10 @@ class JobQueue:
         :func:`repro.harness.results.run_record`.
 
         With the ``checkpoint_every`` option the same run persists a
-        snapshot at every boundary (virtual-time cycles serial,
-        coordination rounds sharded), and when a retained snapshot for
-        this spec hash already exists it *resumes* from it by verified
-        replay (``repro.checkpoint``) instead of restarting.  The final
+        snapshot every that-many virtual-time cycles, and when a
+        retained snapshot for this spec hash already exists it
+        *resumes* from it by verified replay (``repro.checkpoint``)
+        instead of restarting.  The final
         document is bit-identical either way.  A corrupt or
         version-mismatched snapshot file is discarded and the run
         starts fresh; a replay divergence
@@ -443,9 +453,8 @@ class JobQueue:
         job.backend = backend
         (result,) = backend.run_workloads(
             [wspec], timeout=job.timeout_s,
-            **checkpoint_kwargs(backend, cfg, [wspec], every=every,
-                                sink=sink, resume=snap,
-                                note=spec.spec_hash))
+            **checkpoint_kwargs(cfg, [wspec], every=every, sink=sink,
+                                resume=snap, note=spec.spec_hash))
         wspec.resolve().verify(result["output"])
         trace = backend.trace
         digest = trace_digest(trace) if trace is not None else None

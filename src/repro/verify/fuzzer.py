@@ -47,6 +47,8 @@ _MESHES = (9, 12, 16, 20, 25)
 _DRIFTS = (5.0, 20.0, 100.0, 1e9)
 _WINDOW_MAX = (1.0, 4.0, 64.0)
 _ROUND_BATCH = (1, 4, 16)
+#: Snapshot mode splits a run at this share of its completion time.
+_SPLIT_SHARE = (0.2, 0.8)
 
 
 @dataclass
@@ -282,11 +284,12 @@ def run_snapshot_case(case: FuzzCase, sanitize: bool = True
 
     Pins ``run(0..end) == run(0..k); restore; run(k..end)`` — results,
     completion vtime, message counts, stats and trace digest all
-    bit-identical — at a case-derived random boundary ``k``: a
-    virtual-time stop for the serial backend, and (when the straight
-    run spans at least two rounds) a coordination round for the sharded
-    one.  The checkpointed run itself must also match the straight run,
-    i.e. snapshotting is observation-only.
+    bit-identical — at a case-derived random virtual time ``k``, on the
+    serial backend and (for a multi-shard case) on the sharded one.  The
+    checkpointed run itself must also match the straight run, i.e.
+    snapshotting is observation-only.  ``<backend>_boundary`` in the
+    report is ``None`` when the run finished before crossing ``k`` with
+    work still live (sharded: no round barrier past it).
     """
     from ..checkpoint import run_straight, split_run
 
@@ -299,35 +302,21 @@ def run_snapshot_case(case: FuzzCase, sanitize: bool = True
 
     try:
         specs = case.specs()
-        cfg = case.config("serial", sanitize)
-        straight = run_straight(cfg, specs)
-        k = max(1.0, straight["completion"] * rng.uniform(0.2, 0.8))
-        snap, chk, resumed = split_run(cfg, specs, k)
-        report["serial_boundary"] = (None if snap is None
-                                     else snap.boundary["value"])
-        if det(chk) != det(straight):
-            mismatches.append("serial checkpointed run diverged from the "
-                              "straight run")
-        if snap is not None and det(resumed) != det(straight):
-            mismatches.append(f"serial resume from vtime {k:.1f} diverged "
-                              f"from the straight run")
-        report["digest"] = straight["digest"]
-
-        if case.shards > 1:
-            cfg_sh = case.config("sharded", sanitize)
-            straight_sh = run_straight(cfg_sh, specs)
-            rounds = straight_sh["protocol"]["rounds"]
-            if rounds >= 2:
-                r = rng.randint(1, rounds - 1)
-                snap_sh, chk_sh, resumed_sh = split_run(cfg_sh, specs, r)
-                report["sharded_boundary"] = (None if snap_sh is None
-                                              else r)
-                if det(chk_sh) != det(straight_sh):
-                    mismatches.append("sharded checkpointed run diverged "
-                                      "from the straight run")
-                if snap_sh is not None and det(resumed_sh) != det(straight_sh):
-                    mismatches.append(f"sharded resume from round {r} "
-                                      f"diverged from the straight run")
+        backends = ("serial", "sharded") if case.shards > 1 else ("serial",)
+        for backend in backends:
+            cfg = case.config(backend, sanitize)
+            straight = run_straight(cfg, specs)
+            k = max(1.0, straight["completion"] * rng.uniform(*_SPLIT_SHARE))
+            snap, chk, resumed = split_run(cfg, specs, k)
+            report[f"{backend}_boundary"] = (None if snap is None
+                                             else snap.boundary["value"])
+            if det(chk) != det(straight):
+                mismatches.append(f"{backend} checkpointed run diverged "
+                                  "from the straight run")
+            if snap is not None and det(resumed) != det(straight):
+                mismatches.append(f"{backend} resume from vtime {k:.1f} "
+                                  "diverged from the straight run")
+            report.setdefault("digest", straight["digest"])
     except Exception as exc:  # CheckpointMismatchError, SimDeadlock, ...
         report["error"] = f"{type(exc).__name__}: {exc}"
         return False, report

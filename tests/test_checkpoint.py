@@ -146,7 +146,7 @@ class TestShardedSplitRun:
         cfg = sharded_cfg()
         straight = run_straight(cfg, QUICKSORT)
         assert straight["protocol"]["rounds"] >= 2
-        snap, chk, resumed = split_run(cfg, QUICKSORT, 2)
+        snap, chk, resumed = split_run(cfg, QUICKSORT, 2000.0)
         assert snap is not None and snap.kind == "sharded"
         assert len(snap.states) == 4  # one capture per shard
         assert det(chk) == det(straight)
@@ -158,13 +158,13 @@ class TestShardedSplitRun:
         rounds = straight["protocol"]["rounds"]
         if rounds < 2:
             pytest.skip("run too short to split")
-        snap, _, resumed = split_run(cfg, PAIR, max(1, rounds // 2))
+        snap, _, resumed = split_run(cfg, PAIR, straight["completion"] / 2)
         assert snap is not None
         assert det(resumed) == det(straight)
 
     def test_different_shard_count_is_refused(self):
         cfg = sharded_cfg()
-        snap, _, _ = split_run(cfg, QUICKSORT, 2)
+        snap, _, _ = split_run(cfg, QUICKSORT, 2000.0)
         wrong = dataclasses.replace(snap,
                                     config=dict(snap.config, shards=2))
         with pytest.raises(CheckpointError) as exc:
@@ -173,30 +173,70 @@ class TestShardedSplitRun:
 
     def test_tampered_worker_state_fails_verification(self):
         cfg = sharded_cfg()
-        snap, _, _ = split_run(cfg, QUICKSORT, 2)
+        snap, _, _ = split_run(cfg, QUICKSORT, 2000.0)
         snap.states[1]["det"]["stats"]["context_switches"] += 7
         with pytest.raises(CheckpointMismatchError) as exc:
             resume_run(snap)
         assert "shard 1" in str(exc.value)
 
     def test_resume_past_completed_run_fails_loudly(self):
-        # A verify_at round beyond the run's actual rounds means the
-        # snapshot does not belong to this trajectory.
+        # A verify_at beyond the virtual time the run ever reaches means
+        # the snapshot does not belong to this trajectory.
         cfg = sharded_cfg()
         straight = run_straight(cfg, QUICKSORT)
-        snap, _, _ = split_run(cfg, QUICKSORT, 2)
+        snap, _, _ = split_run(cfg, QUICKSORT, 2000.0)
         late = dataclasses.replace(
-            snap, boundary={"kind": "round",
-                            "value": straight["protocol"]["rounds"] + 50})
+            snap, boundary={"kind": "vtime",
+                            "value": straight["completion"] + 50_000.0})
         with pytest.raises(CheckpointMismatchError):
             resume_run(late)
+
+
+class TestOlderSnapshotsAreRefused:
+    """Before version 3 a sharded boundary counted coordination rounds
+    and the config carried ``worker_start_method``; neither may reach
+    ``ArchConfig(**config)`` or be replayed as if it were a virtual
+    time."""
+
+    def test_version_2_file_is_a_version_error(self, tmp_path):
+        import struct
+
+        from repro.checkpoint import (CHECKPOINT_VERSION,
+                                      CheckpointVersionError)
+        from repro.checkpoint.codec import MAGIC
+
+        assert CHECKPOINT_VERSION == 3
+        snap, _, _ = split_run(serial_cfg(), QUICKSORT, 2000.0)
+        path = str(tmp_path / "old.ckpt")
+        save_snapshot(snap, path)
+        with open(path, "r+b") as fh:
+            fh.seek(len(MAGIC))
+            fh.write(struct.pack("<I", 2))
+        with pytest.raises(CheckpointVersionError, match="version 2"):
+            load_snapshot(path)
+        with pytest.raises(CheckpointVersionError):
+            resume_run(path)
+
+    @pytest.mark.parametrize("cfg", [serial_cfg(), sharded_cfg()],
+                             ids=["serial", "sharded"])
+    def test_round_boundary_is_refused(self, cfg, tmp_path):
+        snap, _, _ = split_run(cfg, QUICKSORT, 2000.0)
+        assert snap.boundary == {"kind": "vtime", "value": 2000.0}
+        rounds = dataclasses.replace(
+            snap, boundary={"kind": "round", "value": 2})
+        with pytest.raises(CheckpointError, match="virtual time"):
+            resume_run(rounds)
+        path = str(tmp_path / "rounds.ckpt")
+        save_snapshot(rounds, path)
+        with pytest.raises(CheckpointError, match="boundary"):
+            load_snapshot(path)
 
 
 class TestCheckpointedDispatch:
     def test_backend_dispatch(self):
         serial = run_checkpointed(serial_cfg(), QUICKSORT, 4000.0,
                                   lambda s: None)
-        sharded = run_checkpointed(sharded_cfg(), QUICKSORT, 3,
+        sharded = run_checkpointed(sharded_cfg(), QUICKSORT, 4000.0,
                                    lambda s: None)
         assert serial["backend"] == "serial"
         assert sharded["backend"] == "sharded"

@@ -306,8 +306,7 @@ class TestSweepCli:
         assert "simulated        : 2 new" in text
         assert "Pareto frontier" in text
         code, text = self.run_cli("sweep", path, "--jobs", "1",
-                                  "--store", store, "--out", frame2,
-                                  "--resume")
+                                  "--store", store, "--out", frame2)
         assert code == 0
         assert "simulated        : 0 new" in text
         with open(frame1) as a, open(frame2) as b:
@@ -333,12 +332,6 @@ class TestSweepCli:
         code, _ = self.run_cli("sweep", "not-a-figure-or-file")
         assert code == 2
         assert "neither a known figure" in capsys.readouterr().err
-
-    def test_fresh_conflicts_with_resume(self, tmp_path, capsys):
-        path = self.write_spec(tmp_path)
-        code, _ = self.run_cli("sweep", path, "--fresh", "--resume")
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
 
 # -- service endpoint ---------------------------------------------------------

@@ -28,6 +28,8 @@ SERIAL = {"preset": "shared_mesh", "n_cores": 16}
 SHARDED = dict(SERIAL, shards=4, backend="sharded")
 #: Execution options the sweep engine fixes for its cells.
 CELL_OPTIONS = {"digest": False, "telemetry": None}
+#: One checkpoint interval (virtual-time cycles) for both architectures.
+EVERY = 2000.0
 
 
 def body(document) -> str:
@@ -46,12 +48,12 @@ def service_document(tmp_path, name, payload, options) -> dict:
         queue.shutdown()
 
 
-@pytest.mark.parametrize("arch, every", [
-    (SERIAL, 2000.0),
-    pytest.param(SHARDED, 2, marks=pytest.mark.skipif(
+@pytest.mark.parametrize("arch", [
+    SERIAL,
+    pytest.param(SHARDED, marks=pytest.mark.skipif(
         not FORK_AVAILABLE, reason="needs fork workers")),
 ], ids=["serial", "sharded"])
-def test_every_entry_point_gives_the_same_result(tmp_path, arch, every):
+def test_every_entry_point_gives_the_same_result(tmp_path, arch):
     payload = {"arch": arch, "workload": WORKLOAD}
     spec = resolve_spec(payload)
     cfg = dataclasses.replace(spec.cfg, collect_trace=True)
@@ -68,7 +70,7 @@ def test_every_entry_point_gives_the_same_result(tmp_path, arch, every):
     digest = trace_digest(backend.trace)
 
     # Split at a checkpoint, resumed by verified replay.
-    snap, checkpointed, resumed = split_run(cfg, specs, every)
+    snap, checkpointed, resumed = split_run(cfg, specs, EVERY)
     assert snap is not None, "run finished before the first boundary"
     for outcome in (checkpointed, resumed):
         assert outcome["results"] == results
@@ -81,7 +83,7 @@ def test_every_entry_point_gives_the_same_result(tmp_path, arch, every):
     plain = service_document(tmp_path, "plain", payload, {"telemetry": None})
     assert body(plain) == body(service_document(
         tmp_path, "ckpt", payload,
-        {"telemetry": None, "checkpoint_every": every}))
+        {"telemetry": None, "checkpoint_every": EVERY}))
     assert plain["result"]["work_vtime"] == results[0]["work_vtime"]
     assert plain["result"]["trace_digest"] == digest
     assert plain["stats_vt"] == stats_vt

@@ -77,7 +77,7 @@ def stub_backend(monkeypatch, script, **overrides):
     monkeypatch.setattr(coordinator, "worker_main", scripted_worker(script))
     cfg = dataclasses.replace(
         shared_mesh(8), backend="sharded", shards=1,
-        adaptive_window=False, worker_start_method="fork", **overrides)
+        adaptive_window=False, **overrides)
     return build_backend(cfg)
 
 

@@ -137,18 +137,19 @@ def test_config_validates_round_protocol_knobs():
         ArchConfig(window_max_factor=0.5)
     with pytest.raises(SimConfigError, match="round_batch"):
         ArchConfig(round_batch=0)
-    with pytest.raises(SimConfigError, match="worker_start_method"):
-        ArchConfig(worker_start_method="threads")
     # Boundary values are legal: factor 1 / batch 1 restore lockstep.
     cfg = ArchConfig(window_max_factor=1.0, round_batch=1)
     assert cfg.window_max_factor == 1.0 and cfg.round_batch == 1
 
 
 def test_resolve_start_method():
-    assert resolve_start_method("fork") == "fork"
-    assert resolve_start_method("spawn") == "spawn"
-    assert (resolve_start_method("auto")
-            in multiprocessing.get_all_start_methods())
+    # Derived from the host: fork wherever the platform offers it.
+    offered = multiprocessing.get_all_start_methods()
+    assert resolve_start_method() in offered
+    if "fork" in offered:
+        assert resolve_start_method() == "fork"
+    with pytest.raises(TypeError):
+        ArchConfig(worker_start_method="spawn")  # no longer configurable
 
 
 def test_builder_attaches_fence():
@@ -486,24 +487,22 @@ def test_sharded_bytes_shipped_counts_cross_shard_traffic():
     assert proto["bytes_shipped"] == sum(proto["bytes_by_edge"].values())
 
 
-def test_bench_sharded_entry_reports_traffic():
-    from repro.harness.perfbench import _bench_e2e_sharded
-
-    res = _bench_e2e_sharded(scale="tiny", chat_rounds=2)
-    assert res["bytes_shipped"] > 0
-    assert res["bytes_by_edge"]
-
-
-def test_worker_start_methods_agree():
+def test_worker_start_methods_agree(monkeypatch):
     # fork and spawn workers must produce identical runs; skip methods
-    # the host does not offer (e.g. no fork on Windows).
+    # the host does not offer (e.g. no fork on Windows).  The method is
+    # derived from the host, so the spawn leg patches the derivation.
+    import repro.parallel.coordinator as coordinator
+
     spec = WorkloadSpec("quicksort", scale="tiny", seed=1, root_core=0)
     outcomes = []
     for method in ("fork", "spawn"):
         if method not in multiprocessing.get_all_start_methods():
             continue
+        monkeypatch.setattr(coordinator, "resolve_start_method",
+                            lambda method=method: method)
         backend = build_backend(_sharded_cfg(
-            sync="spatial", drift_bound=1e9, worker_start_method=method))
+            sync="spatial", drift_bound=1e9))
+        assert f"start={method}" in backend.describe()
         (result,) = backend.run_workloads([spec])
         outcomes.append((result, backend.stats.completion_vtime,
                          dict(backend.stats.messages_by_kind)))

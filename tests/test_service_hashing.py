@@ -55,7 +55,6 @@ class TestConfigIdentity:
         ("telemetry", "all"),
         ("sanitize", True),
         ("collect_trace", True),
-        ("worker_start_method", "spawn"),
     ])
     def test_non_semantic_fields_do_not_change_hash(self, field, value):
         a = shared_mesh(16)

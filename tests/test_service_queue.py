@@ -145,6 +145,58 @@ class TestTimeoutAndBackpressure:
         finally:
             jq.shutdown()
 
+    def test_timeout_stops_the_simulation_itself(self, store):
+        # ~5 s of simulation under a 0.5 s limit: the limit is the run's
+        # budget, so the job's thread ends with the job instead of
+        # simulating on to the run's natural end.
+        spec = resolve_spec({
+            "arch": {"preset": "shared_mesh", "n_cores": 64},
+            "workload": {"benchmark": "quicksort", "scale": "paper"},
+            "options": {"timeout_s": 0.5}})
+        jq = make_queue(store, workers=1)
+        try:
+            job = jq.submit(spec)
+            assert job.wait(30) and job.state == "failed"
+            assert job.error["type"] == "timeout"
+            deadline = time.monotonic() + 1.0
+            while (time.monotonic() < deadline
+                   and self._job_threads()):
+                time.sleep(0.02)
+            assert not self._job_threads()
+            assert jq.registry.counters["service.timeouts"] == 1
+            assert jq.registry.counters["service.failures"] == 0
+            assert job.spec.spec_hash not in store
+        finally:
+            jq.shutdown()
+
+    @staticmethod
+    def _job_threads():
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("repro-job-")]
+
+    def test_run_budget_and_join_expiry_fail_the_job_alike(self, store,
+                                                           monkeypatch):
+        # The run's own SimTimeout (here: before the join expires) maps
+        # to the same error type, message and counter as the join.
+        from repro.core.errors import SimTimeout
+
+        def spent(self, job):
+            raise SimTimeout("run exceeded its wall-clock budget")
+
+        monkeypatch.setattr(JobQueue, "_execute", spent)
+        jq = make_queue(store, workers=1)
+        try:
+            job = jq.submit(_spec(timeout_s=30))
+            assert job.wait(30) and job.state == "failed"
+            assert job.error == {
+                "type": "timeout",
+                "message": "job exceeded 30s wall-clock limit"}
+            assert not job.resumable
+            assert jq.registry.counters["service.timeouts"] == 1
+            assert jq.registry.counters["service.failures"] == 0
+        finally:
+            jq.shutdown()
+
     def test_queue_full_raises(self, store, monkeypatch):
         release = threading.Event()
         monkeypatch.setattr(JobQueue, "_execute",

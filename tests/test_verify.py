@@ -105,7 +105,7 @@ class TestSanitizerCleanRuns:
         for sanitize in (False, True):
             cfg = dataclasses.replace(
                 shared_mesh(8), backend="sharded", shards=2,
-                sanitize=sanitize, worker_start_method="fork")
+                sanitize=sanitize)
             backend = build_backend(cfg)
             results = backend.run_workloads(specs)
             runs[sanitize] = (results, backend.stats.completion_vtime,
@@ -224,7 +224,7 @@ class TestInjectedWindowLiftBug:
         cfg = dataclasses.replace(
             shared_mesh(8), backend="sharded", shards=2, sanitize=True,
             drift_bound=5.0, adaptive_window=False, window_max_factor=1.0,
-            round_batch=1, worker_start_method="fork")
+            round_batch=1)
         backend = build_backend(cfg)
         with pytest.raises(SanitizerViolation) as exc_info:
             backend.run_workloads(
