@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .config import ArchConfig
-from ..core.engine import EngineParams, Machine
+from ..core.engine import Machine
 from ..core.sync import make_policy
 from ..memory.coherence import CoherenceModel
 from ..memory.distmem import DistributedMemoryModel
@@ -95,17 +95,10 @@ def build_machine(cfg: ArchConfig) -> Machine:
     """
     topo = build_topology(cfg)
     policy = make_policy(cfg.sync, **cfg.sync_kwargs)
-    params = EngineParams(
-        task_start_cycles=cfg.task_start_cycles,
-        context_switch_cycles=cfg.context_switch_cycles,
-        queue_capacity=cfg.queue_capacity,
-        slice_actions=cfg.slice_actions,
-        parallelism_sample_interval=cfg.parallelism_sample_interval,
-    )
     machine = Machine(
         topo,
         policy,
-        params,
+        cfg.engine_params(),
         drift_bound=cfg.drift_bound,
         shadow_enabled=cfg.shadow_enabled,
         shadow_mode=cfg.shadow_mode,

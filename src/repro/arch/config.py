@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
+from ..core.engine import EngineParams
 from ..core.errors import SimConfigError
+from ..core.sync import make_policy
+from ..runtime.dispatch import make_dispatch
 
 #: Paper reference values.
 DEFAULT_T = 100.0
@@ -78,7 +81,7 @@ class ArchConfig:
     context_switch_cycles: float = 15.0
     queue_capacity: int = 4
     slice_actions: int = 64
-    parallelism_sample_interval: int = None  # None = no sampling
+    parallelism_sample_interval: Optional[int] = None  # None = no sampling
 
     # Timing annotations.
     branch_accuracy: float = 0.9
@@ -119,12 +122,10 @@ class ArchConfig:
     # per-worker): drift-bound admission, causal/FIFO message delivery,
     # publish monotonicity, lock accounting and the sharded adopt/lift
     # protocol all assert continuously, raising SanitizerViolation on the
-    # first breach.  Costs ~2x; compute fusion is disabled while checking
-    # (fused and unfused execution are bit-identical, so timing results
-    # do not change).  ``collect_trace`` attaches a harness Tracer to
-    # every machine the build produces (each shard worker's included);
-    # the finished run's (merged) trace is ``backend.trace``, ready for
-    # canonical digesting.
+    # first breach.  Costs ~2x and changes no timing result.
+    # ``collect_trace`` attaches a harness Tracer to every machine the
+    # build produces (each shard worker's included); the finished run's
+    # (merged) trace is ``backend.trace``, ready for canonical digesting.
     sanitize: bool = False
     collect_trace: bool = False
 
@@ -168,13 +169,40 @@ class ArchConfig:
         if self.round_batch < 1:
             raise SimConfigError(
                 f"round_batch must be >= 1, got {self.round_batch}")
+        # Everything below is what building a machine would reject:
+        # the factories and EngineParams apply their own rules here, so
+        # a spec they refuse fails at submission, never inside a worker.
+        try:
+            if not self.drift_bound > 0:
+                raise ValueError("drift bound T must be positive")
+            if self.chunk_bytes < 1:
+                raise ValueError("chunk size must be positive")
+            make_policy(self.sync, **self.sync_kwargs)
+            make_dispatch(self.dispatch, **self.dispatch_kwargs)
+            self.engine_params()
+            self.resolved_speed_factors()
+        except (ValueError, TypeError) as exc:
+            raise SimConfigError(str(exc)) from exc
+
+    def engine_params(self) -> EngineParams:
+        """The engine/run-time overheads this config describes."""
+        return EngineParams(
+            task_start_cycles=self.task_start_cycles,
+            context_switch_cycles=self.context_switch_cycles,
+            queue_capacity=self.queue_capacity,
+            slice_actions=self.slice_actions,
+            parallelism_sample_interval=self.parallelism_sample_interval,
+        )
 
     def resolved_speed_factors(self) -> list:
         """Per-core speed factors (cost multipliers; >1 = slower)."""
         if self.speed_factors is not None:
             if len(self.speed_factors) != self.n_cores:
                 raise SimConfigError("speed_factors length mismatch")
-            return [float(f) for f in self.speed_factors]
+            factors = [float(f) for f in self.speed_factors]
+            if not all(f > 0 for f in factors):
+                raise SimConfigError("speed factors must be positive")
+            return factors
         if self.polymorphic:
             return [
                 POLY_SLOW_FACTOR if c % 2 == 0 else POLY_FAST_FACTOR

@@ -50,8 +50,10 @@ MAGIC = b"RPSNAP"
 #: (3: sharded boundaries became virtual times — a version-2 sharded
 #: file counts coordination rounds — and ``worker_start_method`` left
 #: the config, so an older file would otherwise fail
-#: ``ArchConfig(**config)`` with a TypeError instead of this error).
-CHECKPOINT_VERSION = 3
+#: ``ArchConfig(**config)`` with a TypeError instead of this error;
+#: 4: the captured ``columns`` lost ``inbox_len``, so a version-3 file
+#: would otherwise fail as a replay mismatch).
+CHECKPOINT_VERSION = 4
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")

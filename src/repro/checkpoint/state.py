@@ -260,12 +260,10 @@ def capture_machine_state(machine) -> Dict[str, Any]:
         "n_cores": machine.n_cores,
         "live_tasks": machine.live_tasks,
         "last_finish_time": _raw(machine.last_finish_time),
-        # floor_lb is excluded: it is a pure admission cache, primed at
-        # every drain start, so a resumed run (which re-enters
-        # _drain_ready once more than a straight run) legitimately holds
-        # different cached bounds.  Admission decisions re-derive the
-        # exact floor on a cache miss (SpatialSync.may_run), so cache
-        # content can never change the trajectory.
+        # floor_lb is excluded: it is a pure admission cache.  A miss
+        # re-derives the exact floor (SpatialSync.may_run), so cache
+        # content never decides an admission and is not state a replay
+        # must reproduce.
         "columns": {name: getattr(soa, name).tobytes()
                     for name, _code, _fill in COLUMNS
                     if name != "floor_lb"},

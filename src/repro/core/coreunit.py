@@ -127,14 +127,12 @@ class CoreUnit:
                 heap.clear()
             heappush(heap, (msg.arrival, msg.seq, msg))
         inbox.append(msg)
-        self._soa.inbox_len[self.cid] += 1
 
     def inbox_pop_fifo(self) -> Message:
         """Next message in host delivery order."""
         inbox = self.inbox
         msg = inbox.popleft()  # the front is never a tombstone
         msg.consumed = True
-        self._soa.inbox_len[self.cid] -= 1
         while inbox and inbox[0].consumed:
             inbox.popleft()
         return msg
@@ -146,7 +144,6 @@ class CoreUnit:
         ``track_arrivals`` on for exactly those, so the heap is live.
         """
         inbox = self.inbox
-        self._soa.inbox_len[self.cid] -= 1
         heap = self._arrival_heap
         while True:
             _, _, msg = heappop(heap)

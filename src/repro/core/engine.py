@@ -23,8 +23,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .actions import (
     Acquire,
     CellAccess,
@@ -95,6 +93,12 @@ class EngineParams:
             raise SimConfigError("queue capacity must be >= 1")
         if self.slice_actions < 1:
             raise SimConfigError("slice must allow at least one action")
+        interval = self.parallelism_sample_interval
+        if interval is not None and (
+                not isinstance(interval, int) or interval < 1):
+            raise SimConfigError(
+                "parallelism_sample_interval must be an integer >= 1 "
+                f"(or None), got {interval!r}")
 
 
 class Machine:
@@ -128,9 +132,9 @@ class Machine:
     Scheduling is cooperative and non-preemptive: each ready core runs
     one *slice* (up to ``params.slice_actions`` actions) before the
     next core's turn, matching the paper's userland-threads model.
-    Consecutive pure-compute actions within a slice are fused into one
-    fabric advance, and per-core inboxes keep an incremental
-    arrival-ordered heap only when the policy needs ordered queries.
+    Every action goes through the handler table, one per step, and
+    per-core inboxes keep an incremental arrival-ordered heap only when
+    the policy needs ordered queries.
 
     Example::
 
@@ -234,7 +238,6 @@ class Machine:
         self._neighbor_cache = [topo.neighbors(c) for c in range(self.n_cores)]
         self.live_tasks = 0
         self.last_finish_time = 0.0
-        self._progress = False
         self._ran = False
         self._stop_at_vtime: Optional[float] = None
         #: ``time.perf_counter()`` value past which the run gives up
@@ -285,10 +288,6 @@ class Machine:
         self._reception_exempt = bool(
             getattr(policy, "reception_exempt", False))
         self._on_event_enqueued = getattr(policy, "on_event_enqueued", None)
-        self._fuse_compute = (
-            not self._ordered_units
-            and bool(getattr(policy, "fusible_compute", True))
-        )
         self._on_core_idle = None  # bound in attach_runtime
         # Hot-column aliases into the shared SoA plane: the scheduler
         # and message-servicing inner loops index these directly; the
@@ -299,15 +298,6 @@ class Machine:
         self._svc_clock_col = soa.service_clock
         self._busy_col = soa.busy_cycles
         self._last_arrival_col = soa.last_arrival
-        # Wave-batched floor priming (a drift-checking policy on a
-        # non-degenerate topology, floor cache armed): one numpy gather
-        # per drain computes every core's exact drift floor into the
-        # fabric's cached lower bounds.
-        self._wave_floors = (
-            self.fabric._floor_cache_on
-            and bool(getattr(policy, "checks_drift", False))
-            and soa.min_degree > 0
-        )
         # Per-core scaled engine overheads (speed factors and params are
         # fixed for a machine's lifetime; same product, computed once).
         params = self.params
@@ -315,8 +305,8 @@ class Machine:
             c.scaled(params.msg_process_cycles) for c in self.cores]
         self._send_cycles = [
             c.scaled(params.send_overhead_cycles) for c in self.cores]
-        # For fused computes the per-step policy notification is skipped
-        # when on_advance is the base no-op (spatial, unbounded).
+        # The per-advance policy notification is skipped when on_advance
+        # is the base no-op (spatial, unbounded).
         self._on_advance_hook = (
             policy.on_advance
             if type(policy).on_advance is not SyncPolicy.on_advance
@@ -864,24 +854,6 @@ class Machine:
         self.stats.lock_waiver_runs = waivers
         self.stats.parallelism_samples.append(count)
 
-    def _prime_floor_cache(self) -> None:
-        """Wave-batched admission priming: compute every core's *exact*
-        current drift floor (neighbour published minimum, min'd with its
-        spawn-birth floor) in one vectorized gather and store it in the
-        fabric's cached lower bounds.
-
-        The subsequent per-core drift checks then pass or fail on a
-        single compare; only cores whose floor has since moved re-derive
-        it scalar-wise.  Writing the exact floor is sound for the same
-        reason the incremental cache is: floors only fall through events
-        that also lower the cached bound (see ``VirtualTimeFabric``).
-        """
-        soa = self.soa
-        floors = np.minimum.reduceat(
-            soa.published_np[soa.csr_indices_np], soa.csr_offsets_np[:-1])
-        np.minimum(floors, soa.births_min_np, out=floors)
-        soa.floor_lb_np[:] = floors
-
     def _drain_ready(self) -> bool:
         progressed = False
         ready = self._ready
@@ -892,8 +864,6 @@ class Machine:
         vtimes = self.fabric.vtime
         in_ready_col = self._in_ready_col
         pops = 0
-        if self._wave_floors:
-            self._prime_floor_cache()
         while ready:
             # The one place a budgeted run reads the clock: this loop is
             # entered about once per run, so a check outside it would
@@ -1051,7 +1021,8 @@ class Machine:
                 progressed = True
                 continue
             if core.current is not None:
-                budget -= self._step_task(core, budget)
+                self._step_task(core)
+                budget -= 1
                 progressed = True
                 continue
             if core.queue:
@@ -1331,29 +1302,19 @@ class Machine:
         if hook is not None:
             hook(core)
 
-    def _step_task(self, core: CoreUnit, budget: int = 1) -> int:
-        """Execute the current task's next action(s); return actions consumed.
-
-        Runs of consecutive pure-compute actions are fused: their costs
-        accumulate (with the exact same per-action float arithmetic as
-        individual advances) and are charged through a single fabric
-        advance, skipping the per-action publish/relax machinery whose
-        intermediate states are unobservable — nothing else executes
-        between two actions of one host slice.  Fusion never exceeds
-        ``budget``, so slice accounting is unchanged.
-        """
+    def _step_task(self, core: CoreUnit) -> None:
+        """Execute the current task's next action through the handler
+        table (or finish the task when its generator returns)."""
         task = core.current
-        gen = task.gen
         value = task.resume_value
         task.resume_value = None
         stats = self.stats
-        max_actions = self.params.max_host_actions
         try:
-            action = gen.send(value)
+            action = task.gen.send(value)
         except StopIteration as stop:
             task.result = stop.value
             self._finish_task(core, task)
-            return 1
+            return
         except SimError:
             raise
         except Exception as exc:
@@ -1365,97 +1326,16 @@ class Machine:
                 vtime=self.fabric.vtime[core.cid],
             ) from exc
         stats.actions += 1
+        max_actions = self.params.max_host_actions
         if max_actions is not None and stats.actions > max_actions:
             raise SimError("max_host_actions exceeded (runaway simulation?)")
-        consumed = 1
         tel = self.telemetry
-        if budget > 1 and self._fuse_compute and type(action) is Compute:
-            # Fused run.  Per-action semantics are replicated exactly:
-            # the core's vtime is written directly (so the policy's
-            # may_run and on_advance see each step, as they would after
-            # an individual advance) but the publish/notify/relax tail
-            # is deferred to one fabric.commit — its intermediate states
-            # are unobservable because nothing else executes between two
-            # actions of the same host slice (the inbox is provably
-            # empty here: _run_slice drains it before stepping, and
-            # pure computes deliver nothing).
-            fabric = self.fabric
-            vtimes = fabric.vtime
-            busy_col = self._busy_col
-            cid = core.cid
-            may_run = self.policy.may_run
-            on_adv = self._on_advance_hook
-            charged = False
-            finished = False
-            pending = None
-            while True:
-                cost = self._compute_cost(core, action)
-                stats.compute_actions += 1
-                if cost < 0:
-                    raise SimError("cannot advance by negative cycles")
-                if cost > 0:
-                    vtimes[cid] = vtimes[cid] + cost
-                    busy_col[cid] += cost
-                    charged = True
-                    if on_adv is not None:
-                        on_adv(core)
-                # Stop before pulling an action the unfused loop would not
-                # have reached: budget exhausted or drift check fails
-                # (the outer loop then re-checks and stalls, exactly as
-                # before).
-                if consumed >= budget or not may_run(core):
-                    break
-                try:
-                    action = gen.send(None)
-                except StopIteration as stop:
-                    task.result = stop.value
-                    finished = True
-                    break
-                except SimError:
-                    raise
-                except Exception as exc:
-                    if charged:
-                        fabric.commit(cid)
-                    raise TaskError(
-                        f"simulated task {task!r} raised "
-                        f"{type(exc).__name__} on core {core.cid} at vtime "
-                        f"{vtimes[cid]:.1f}: {exc}",
-                        task=task, core=core.cid, vtime=vtimes[cid],
-                    ) from exc
-                stats.actions += 1
-                if max_actions is not None and stats.actions > max_actions:
-                    raise SimError(
-                        "max_host_actions exceeded (runaway simulation?)")
-                consumed += 1
-                if type(action) is not Compute:
-                    pending = action
-                    break
-            if charged:
-                fabric.commit(cid)
-            if tel is not None:
-                # Accounted at run end, not per fused step, so the fused
-                # loop itself stays untouched.
-                fused = consumed - (1 if pending is not None else 0)
-                tel.actions[Compute] += fused
-                tel.fusion_hist.observe(fused)
-                if pending is not None:
-                    tel.actions[type(pending)] += 1
-            if finished:
-                self._finish_task(core, task)
-            elif pending is not None:
-                handler = self._action_handlers.get(type(pending))
-                if handler is None:
-                    raise SimError(
-                        f"task yielded unknown action {pending!r}")
-                handler(core, task, pending)
-            return consumed
         if tel is not None:
             tel.actions[type(action)] += 1
         handler = self._action_handlers.get(type(action))
         if handler is None:
             raise SimError(f"task yielded unknown action {action!r}")
         handler(core, task, action)
-        return consumed
 
     def _finish_task(self, core: CoreUnit, task: Task) -> None:
         task.state = TaskState.DONE
@@ -1467,8 +1347,7 @@ class Machine:
         self.runtime.on_task_finished(core, task)
 
     # -- action handlers -----------------------------------------------------
-    def _compute_cost(self, core: CoreUnit, action: Compute) -> float:
-        """Cycle cost of one compute action on a core."""
+    def _do_compute(self, core: CoreUnit, task: Task, action: Compute) -> None:
         params = self.params
         cost = core.scaled(action.cycles) * action.repeat
         if action.block is not None:
@@ -1476,10 +1355,7 @@ class Machine:
         cost *= params.compute_overhead_factor
         if params.icache_block_cycles:
             cost += core.scaled(params.icache_block_cycles)
-        return cost
-
-    def _do_compute(self, core: CoreUnit, task: Task, action: Compute) -> None:
-        self.advance_by(core, self._compute_cost(core, action))
+        self.advance_by(core, cost)
         self.stats.compute_actions += 1
 
     def _do_mem(self, core: CoreUnit, task: Task, action: MemAccess) -> None:

@@ -225,27 +225,6 @@ class VirtualTimeFabric:
             if self.shadow_enabled and self._idle_nbr_count[cid]:
                 self._relax_up(cid)
 
-    def commit(self, cid: int) -> None:
-        """Publish a virtual time the engine accumulated with direct
-        ``vtime[cid]`` writes (the fused-compute fast path).
-
-        Between two actions of one host slice nothing else executes, so
-        per-action publish/notify/relax states are unobservable; the
-        engine writes ``vtime`` step-wise and commits once.  This is the
-        publish tail of :meth:`advance`.
-        """
-        vt = self.vtime[cid]
-        if vt > self.max_vtime:
-            self.max_vtime = vt
-        tel = self.telemetry
-        if tel is not None:
-            tel.counters["fabric.commits"] += 1
-        if vt > self.published[cid]:
-            self.published[cid] = vt
-            self._notify(cid)
-            if self.shadow_enabled and self._idle_nbr_count[cid]:
-                self._relax_up(cid)
-
     # -- shard proxy anchoring -------------------------------------------
     def set_proxy_time(self, cid: int, value: float) -> None:
         """Anchor a boundary proxy at its owning worker's published time.

@@ -2,8 +2,8 @@
 
 ``CoreStateArrays`` holds every per-core scalar the hot loops touch —
 virtual times, published (shadow) times, the spawn-birth floor, run-state
-flags, inbox occupancy, the run-time service clock — as contiguous typed
-columns, one slot per core.  It is the **single source of truth**: the
+flags, the run-time service clock — as contiguous typed columns, one slot
+per core.  It is the **single source of truth**: the
 :class:`~repro.core.fabric.VirtualTimeFabric` and the per-core
 :class:`~repro.core.coreunit.CoreUnit` objects hold references into the
 same columns (the CoreUnits expose them as properties, i.e. thin views
@@ -15,9 +15,9 @@ Columns are ``array.array`` instances rather than numpy ndarrays:
 scalar indexing on an ``array('d')`` costs about half of boxing a numpy
 scalar, which matters because the engine's innermost loops index single
 cores, while the buffer protocol still gives zero-copy numpy views
-(``vtime_np`` etc.) for the wave-batched bulk operations (floor priming,
-plane publication, shadow fixpoints).  The views write through to the
-same memory, so scalar and vector code paths can never disagree.
+(``vtime_np`` etc.) for the bulk operations (plane publication, shadow
+fixpoints).  The views write through to the same memory, so scalar and
+vector code paths can never disagree.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ COLUMNS: Tuple[Tuple[str, str, float], ...] = (
     ("active", "b", 0),            # 1 while the core owns a virtual time
     ("stalled", "b", 0),           # 1 while drift-stalled
     ("in_ready", "b", 0),          # 1 while queued in the ready ring
-    ("inbox_len", "q", 0),         # live (non-tombstone) inbox messages
 )
 
-_NP_DTYPES = {"d": np.float64, "b": np.int8, "q": np.int64}
+_NP_DTYPES = {"d": np.float64, "b": np.int8}
 
 
 class CoreStateArrays:

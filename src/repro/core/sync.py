@@ -68,9 +68,6 @@ class SyncPolicy:
     """Base synchronization policy."""
 
     name = "base"
-    #: Policies with global conditions get all stalled cores re-checked
-    #: whenever the engine runs out of runnable cores.
-    needs_global_recheck = True
     #: Whether a drift-stalled core may still *receive* (process inbox
     #: messages).  Reception is simulator infrastructure in SiMany; strict
     #: event-ordered policies (conservative) keep it gated.
@@ -85,11 +82,6 @@ class SyncPolicy:
     #: (``CoreUnit.next_event_time``); the engine then maintains the
     #: arrival-ordered inbox heap so those queries are O(1).
     uses_event_times = False
-    #: Whether the engine may fuse runs of consecutive pure-compute
-    #: actions into one fabric advance.  Policies whose ``on_advance``
-    #: consumes hidden state per advance (LaxP2P's RNG referee draws)
-    #: must keep per-action advances to stay deterministic.
-    fusible_compute = True
     #: Whether admissions promise the fabric's neighbour drift rule
     #: (``VirtualTimeFabric.drift_ok``).  The sanitizer
     #: (``repro.verify``) cross-checks every positive ``may_run`` answer
@@ -139,7 +131,6 @@ class SpatialSync(SyncPolicy):
     """
 
     name = "spatial"
-    needs_global_recheck = True  # safety net; fine-grained hooks do the work
     reception_exempt = True
     checks_drift = True
 
@@ -273,7 +264,6 @@ class ConservativeSync(EventAnchoredPolicy):
     """
 
     name = "conservative"
-    needs_global_recheck = True
     ordered_inbox = True
     ordered_units = True
 
@@ -296,7 +286,6 @@ class GlobalQuantumSync(EventAnchoredPolicy):
     """
 
     name = "quantum"
-    needs_global_recheck = True
 
     def __init__(self, quantum: float = 100.0) -> None:
         if quantum <= 0:
@@ -329,7 +318,6 @@ class BoundedSlackSync(EventAnchoredPolicy):
     """SlackSim's bounded slack: drift bounded against the global horizon."""
 
     name = "bounded_slack"
-    needs_global_recheck = True
 
     def __init__(self, slack: float = 100.0) -> None:
         if slack <= 0:
@@ -367,10 +355,6 @@ class LaxP2PSync(SyncPolicy):
     """
 
     name = "laxp2p"
-    needs_global_recheck = True
-    # Referee draws happen in on_advance: fusing computes would skip
-    # draws and desynchronize the deterministic RNG stream.
-    fusible_compute = False
 
     def __init__(
         self, slack: float = 100.0, check_period: float = 100.0, seed: int = 0
@@ -419,7 +403,6 @@ class UnboundedSync(SyncPolicy):
     """No synchronization: cores free-run (SlackSim's unbound slack)."""
 
     name = "unbounded"
-    needs_global_recheck = False
 
     def may_run(self, core: CoreUnit) -> bool:
         return True

@@ -3,10 +3,10 @@
 The paper's headline claim is raw simulation speed, so the repo keeps a
 machine-readable record of engine throughput in ``BENCH_engine.json`` at
 the repository root.  The suite measures the individually-optimised layers
-(engine step dispatch, compute fusion, messaging, virtual-time fabric,
-route resolution) — what the end-to-end benchmark (``benchmarks/e2e``,
-whose ``serial_64`` and ``sharded_64x2`` workloads run whole dwarfs
-verified and digest-pinned) does not measure on its own.
+(engine step dispatch, messaging, virtual-time fabric, route resolution)
+— what the end-to-end benchmark (``benchmarks/e2e``, whose ``serial_64``
+and ``sharded_64x2`` workloads run whole dwarfs verified and
+digest-pinned) does not measure on its own.
 
 Every benchmark reports:
 
@@ -47,28 +47,12 @@ REGRESSION_TOLERANCE = 0.25
 # -- workload generators for the micro benchmarks ------------------------
 
 def _steps_root(n_actions: int):
-    """Alternating compute/now actions: measures raw action dispatch.
-
-    The ``now`` action between computes keeps the engine from fusing the
-    run, so this benchmark tracks per-action overhead even after the
-    compute-fusion optimisation.
-    """
+    """Alternating compute/now actions: measures raw action dispatch."""
 
     def root(ctx):
         for _ in range(n_actions // 2):
             yield ctx.compute(cycles=1.0)
             yield ctx.now()
-        return None
-
-    return root
-
-
-def _compute_root(n_actions: int):
-    """A long run of pure compute actions: measures compute fusion."""
-
-    def root(ctx):
-        for _ in range(n_actions):
-            yield ctx.compute(cycles=1.0)
         return None
 
     return root
@@ -109,19 +93,10 @@ def _pingpong_root(rounds: int, fanout: int):
 # -- individual benchmarks ----------------------------------------------
 
 def bench_engine_steps(n_actions: int = 40_000) -> Dict[str, float]:
-    """Engine action dispatch throughput (steps/sec), fusion-proof."""
+    """Engine action dispatch throughput (steps/sec)."""
     machine = build_machine(shared_mesh(4))
     t0 = time.perf_counter()
     machine.run(_steps_root(n_actions))
-    wall = time.perf_counter() - t0
-    return {"wall_s": wall, "events": machine.stats.actions}
-
-
-def bench_compute_fusion(n_actions: int = 40_000) -> Dict[str, float]:
-    """Pure-compute run throughput (benefits from compute fusion)."""
-    machine = build_machine(shared_mesh(4))
-    t0 = time.perf_counter()
-    machine.run(_compute_root(n_actions))
     wall = time.perf_counter() - t0
     return {"wall_s": wall, "events": machine.stats.actions}
 
@@ -207,7 +182,6 @@ def bench_route_resolution(n_cores: int = 1024, few: int = 48,
 #: Benchmark registry: name -> (callable, quick-mode kwargs).
 SUITE: Dict[str, tuple] = {
     "engine_steps": (bench_engine_steps, {"n_actions": 4_000}),
-    "compute_fusion": (bench_compute_fusion, {"n_actions": 4_000}),
     "messages": (bench_messages, {"rounds": 80}),
     "fabric_advances": (bench_fabric_advances, {"rounds": 6}),
     "fabric_refresh": (bench_fabric_refresh, {"rounds": 4}),

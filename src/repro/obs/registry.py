@@ -42,7 +42,6 @@ SNAPSHOT_SCHEMA = 1
 
 # Fixed bucket bounds.  Merging requires identical bounds on both sides,
 # so these are module constants, not per-run choices.
-FUSION_BOUNDS = (1, 2, 4, 8, 16, 32, 64)
 INBOX_BOUNDS = (1, 2, 4, 8, 16, 32)
 DRIFT_BOUNDS = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0)
 WINDOW_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -230,7 +229,6 @@ class Telemetry:
         self.admits = reg.counter_vec("sync.admitted_slices")
         self.stalls = reg.counter_vec("sync.drift_stalls")
         self.relax_waves = reg.counter_vec("fabric.relax_waves")
-        self.fusion_hist = reg.histogram("engine.fusion_len", FUSION_BOUNDS)
         self.inbox_hist = reg.histogram("engine.inbox_depth", INBOX_BOUNDS)
         self.drift_hist = reg.histogram("sync.drift_over_T", DRIFT_BOUNDS)
 

@@ -16,10 +16,10 @@ run executes the exact production hot paths.  What it asserts:
     (the paper's Section II-B waiver) and so are forced waiver slices
     (the sharded escalation ladder's counted accuracy concession).
 ``publish``
-    After every ``fabric.advance``/``fabric.commit``: an active core's
-    published time covers its virtual time, and published times never
-    regress (fast shadow mode publishes monotonically; a revoked
-    permission could wedge neighbours that already ran under it).
+    After every ``fabric.advance``: an active core's published time
+    covers its virtual time, and published times never regress (fast
+    shadow mode publishes monotonically; a revoked permission could
+    wedge neighbours that already ran under it).
 ``causal-delivery`` / ``fifo-delivery``
     Every NoC arrival satisfies ``arrival >= depart + min_latency`` and
     arrivals on one directed ``(src, dst)`` channel never regress.
@@ -144,20 +144,14 @@ class Sanitizer:
 
             machine.run_shard_waiver = run_shard_waiver
 
-        # 2. Publish consistency after every advance/commit.
+        # 2. Publish consistency after every advance.
         orig_advance = fabric.advance
-        orig_commit = fabric.commit
 
         def advance(cid, new_time):
             orig_advance(cid, new_time)
             self._check_publish(cid)
 
-        def commit(cid):
-            orig_commit(cid)
-            self._check_publish(cid)
-
         fabric.advance = advance
-        fabric.commit = commit
 
         # 3. Causal + per-channel-FIFO delivery at the NoC.
         orig_delivery = noc.delivery_time

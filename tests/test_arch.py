@@ -73,9 +73,8 @@ class TestArchConfig:
         assert cfg.n_cores == 8  # originals untouched
 
     def test_explicit_speed_factor_mismatch(self):
-        cfg = ArchConfig(n_cores=4, speed_factors=[1.0, 2.0])
         with pytest.raises(SimConfigError):
-            cfg.resolved_speed_factors()
+            ArchConfig(n_cores=4, speed_factors=[1.0, 2.0])
 
 
 class TestPresets:

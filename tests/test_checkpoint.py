@@ -196,23 +196,25 @@ class TestOlderSnapshotsAreRefused:
     """Before version 3 a sharded boundary counted coordination rounds
     and the config carried ``worker_start_method``; neither may reach
     ``ArchConfig(**config)`` or be replayed as if it were a virtual
-    time."""
+    time.  A version-3 capture still holds the ``inbox_len`` column and
+    must be a version error, not a replay mismatch."""
 
-    def test_version_2_file_is_a_version_error(self, tmp_path):
+    @pytest.mark.parametrize("old", [2, 3])
+    def test_older_file_is_a_version_error(self, old, tmp_path):
         import struct
 
         from repro.checkpoint import (CHECKPOINT_VERSION,
                                       CheckpointVersionError)
         from repro.checkpoint.codec import MAGIC
 
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         snap, _, _ = split_run(serial_cfg(), QUICKSORT, 2000.0)
         path = str(tmp_path / "old.ckpt")
         save_snapshot(snap, path)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))
-            fh.write(struct.pack("<I", 2))
-        with pytest.raises(CheckpointVersionError, match="version 2"):
+            fh.write(struct.pack("<I", old))
+        with pytest.raises(CheckpointVersionError, match=f"version {old}"):
             load_snapshot(path)
         with pytest.raises(CheckpointVersionError):
             resume_run(path)

@@ -1,6 +1,7 @@
 """Unit tests for the virtual-time fabric (spatial sync bookkeeping)."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,3 +272,52 @@ def test_exact_shadow_invariant_random_schedules(advances):
             ref[i] = min(ref[j] for j in nbrs) + 10.0
     for idle in (2, 3):
         assert published[idle] == pytest.approx(ref[idle])
+
+
+@pytest.mark.parametrize("shadow", [True, False], ids=["shadows", "bare"])
+@pytest.mark.parametrize("topo", [mesh2d(3, 3), ring(6), mesh2d(8, 8)],
+                         ids=["mesh3x3", "ring6", "mesh8x8"])
+def test_floor_cache_stays_a_lower_bound(topo, shadow):
+    """The drift-floor cache (docs/internals.md §8) is only ever a lower
+    bound: under any interleaving of the fabric's mutators, and of the
+    exact-floor store ``SpatialSync.may_run`` makes on a miss,
+    ``floor_lb[c] <= floor(c)`` holds for every core after every step.
+    Nothing rewrites the cache wholesale, so each mutator has to keep
+    the bound valid on its own."""
+    n = topo.n_cores
+    # The last two cores play boundary proxies (sharded backend): they
+    # are only ever anchored, never scheduled.
+    owned, proxies = range(n - 2), (n - 2, n - 1)
+    for seed in range(20):
+        rng = random.Random(seed)
+        fabric = make_fabric(topo, T=rng.choice((10.0, 100.0)),
+                             shadow=shadow, mode="fast")
+        lb = fabric._floor_lb
+        births = []
+        now = 0.0
+        for step in range(250):
+            now += rng.uniform(0.0, 20.0)
+            t = max(0.0, now + rng.uniform(-150.0, 150.0))
+            c = rng.choice(owned)
+            op = rng.randrange(9)
+            if op == 0 and not fabric.active[c]:
+                fabric.set_active(c, t)
+            elif op == 1 and fabric.active[c]:
+                fabric.set_idle(c)
+            elif op == 2 and fabric.active[c]:
+                fabric.advance(c, fabric.vtime[c] + rng.uniform(0.0, 60.0))
+            elif op == 3:
+                fabric.add_birth(c, t)
+                births.append((c, t))
+            elif op == 4 and births:
+                fabric.remove_birth(*births.pop(rng.randrange(len(births))))
+            elif op == 5:
+                fabric.adopt_shadow(c, t)
+            elif op == 6:
+                fabric.set_proxy_time(rng.choice(proxies), t)
+            elif op == 7 and rng.random() < 0.2:
+                fabric.refresh_shadows()
+            elif op == 8:
+                lb[c] = fabric.floor(c)
+            for core in range(n):
+                assert lb[core] <= fabric.floor(core), (seed, step, op, core)

@@ -1,7 +1,7 @@
 """Golden-numbers regression test for the engine hot path.
 
 The hot-path optimisations (arrival-ordered inbox heap, dispatch caching,
-compute fusion, NoC route memoisation, numpy fabric) must be
+NoC route memoisation, numpy fabric) must be
 behaviour-preserving: the virtual-time results of a simulation are part of
 the engine's contract.  This test pins ``completion_vtime``, per-kind
 message counts, drift-stall counts and action counts for a matrix of

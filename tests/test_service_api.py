@@ -74,7 +74,11 @@ class TestEndpoints:
     def test_malformed_specs_are_400s(self, service):
         for body in ({}, {"workload": {"benchmark": "nope"}},
                      {"workload": {"benchmark": "quicksort"},
-                      "arch": {"drift_bound": "fast"}}):
+                      "arch": {"drift_bound": "fast"}},
+                     # A value only float() refuses is a 400 like the rest.
+                     {"workload": {"benchmark": "quicksort"},
+                      "arch": {"n_cores": 4,
+                               "speed_factors": [1, "a", 2, 3]}}):
             status, reply = _request(service, "POST", "/v1/jobs", body)
             assert status == 400
             assert reply["error"]["type"] in ("invalid_spec",)

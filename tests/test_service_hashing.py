@@ -168,6 +168,38 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match=fragment):
             resolve_spec(payload)
 
+    #: Arch sections only a machine build, or the run itself, would
+    #: refuse: each would be a job that fails inside a worker.
+    HOSTILE_ARCH = [
+        {"sync": "nope"},
+        {"dispatch": "nope"},
+        {"drift_bound": 0.0},
+        {"drift_bound": -1.0},
+        {"slice_actions": 0},
+        {"queue_capacity": 0},
+        {"chunk_bytes": 0},
+        {"sync_kwargs": "x"},
+        {"sync_kwargs": {"bogus": 1}},
+        {"dispatch_kwargs": {"bogus": 1}},
+        {"n_cores": 4, "speed_factors": [1, 2]},
+        {"n_cores": 4, "speed_factors": [1, 0, 1, 1]},
+        {"n_cores": 4, "speed_factors": [1, "a", 2, 3]},
+        {"parallelism_sample_interval": "x"},
+        {"parallelism_sample_interval": 0},
+        {"parallelism_sample_interval": -3},
+    ]
+
+    @pytest.mark.parametrize("arch", HOSTILE_ARCH)
+    def test_hostile_arch_fails_at_resolution(self, arch):
+        """Whatever building the machine would refuse is refused here,
+        by the spec resolver and per sweep cell alike."""
+        with pytest.raises(SpecError):
+            resolve_spec({"workload": BASE["workload"], "arch": arch})
+        with pytest.raises(SweepSpecError, match="cell 0"):
+            expand_sweep({"base": {"workload": BASE["workload"],
+                                   "arch": arch},
+                          "axes": {"workload.seed": [0]}})
+
     #: The two retired ArchConfig fields, spelled in pieces so a
     #: tree-wide grep for the old names stays empty.
     RETIRED_FIELDS = ("engine" "_kernel", "inbox" "_heap")

@@ -137,8 +137,8 @@ class TestOpenSpanFlush:
         # Many small compute actions: the slice budget interrupts the
         # task *between* actions, so when the vtime horizon stops the
         # run the task is still current and its span still open.  (A
-        # single long compute would be fused into one action and finish
-        # within one slice, closing the span.)
+        # single long compute is one action and finishes within one
+        # slice, closing the span.)
         def root(ctx):
             for _ in range(chunks):
                 yield ctx.compute(cycles=cycles)
