@@ -3,7 +3,8 @@
 
 Builds a SiMany machine (spatial synchronization, T=100), runs the
 Dijkstra benchmark on the optimistic shared-memory architecture, verifies
-the program output against networkx, and prints the headline numbers.
+the program output against a sequential Dijkstra reference (pinned equal
+to networkx by tests/test_workloads.py), and prints the headline numbers.
 
 Run:  python examples/quickstart.py
 

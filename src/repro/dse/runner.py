@@ -198,11 +198,17 @@ def build_frame(plan: SweepPlan,
                                   "message": "cell never reached a "
                                              "terminal state"}
             elif job.state == "done":
-                doc = job.document
-                entry["status"] = "ok"
-                entry["metrics"] = cell_metrics(
-                    cell.cost, float(doc["result"]["work_vtime"]))
-                entry["stats_vt"] = doc.get("stats_vt", {})
+                doc = job.document  # reads the store
+                if doc is None:
+                    entry["status"] = "failed"
+                    entry["error"] = {"type": "result_missing",
+                                      "message": "stored result was removed "
+                                                 "from the result store"}
+                else:
+                    entry["status"] = "ok"
+                    entry["metrics"] = cell_metrics(
+                        cell.cost, float(doc["result"]["work_vtime"]))
+                    entry["stats_vt"] = doc.get("stats_vt", {})
             else:
                 entry["status"] = "failed"
                 entry["error"] = dict(job.error or

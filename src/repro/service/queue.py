@@ -44,7 +44,8 @@ import queue as _queue
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
 from ..core.errors import SimTimeout
 from ..obs.registry import MetricsRegistry
@@ -73,23 +74,24 @@ def _after_checkpoint(job: "Job", path: str) -> None:
 class Job:
     """One submitted simulation and its lifecycle bookkeeping.
 
-    ``document`` holds the persisted result payload once the job is
-    ``done`` (for cache hits, the stored payload verbatim); ``error``
-    holds a structured ``{"type", "message"}`` dict once ``failed``.
+    ``document`` reads the persisted result payload from the store once
+    the job is ``done`` — a job keeps no copy, so the index costs the
+    same per entry whether the answer is 3 KB or 3 MB; ``error`` holds a
+    structured ``{"type", "message"}`` dict once ``failed``.
     ``backend`` references the live execution backend while ``running``
     so status queries can snapshot its telemetry mid-flight.
     """
 
     def __init__(self, job_id: str, spec: ResolvedSpec,
-                 timeout_s: float) -> None:
+                 timeout_s: float, store: ResultStore) -> None:
         self.job_id = job_id
         self.spec = spec
         self.timeout_s = timeout_s
+        self._store = store
         self.state = "queued"
         self.cache_hit = False
         self.deduped = False
         self.resumable = False  # a retained checkpoint can resume this spec
-        self.document: Optional[Dict[str, Any]] = None
         self.error: Optional[Dict[str, str]] = None
         self.submitted_at = time.time()
         self.started_at: Optional[float] = None
@@ -104,7 +106,7 @@ class Job:
             self.state = "running"
             self.started_at = time.time()
 
-    def _finish(self, document: Dict[str, Any]) -> bool:
+    def _finish(self) -> bool:
         """Mark done; returns False when the job already reached a
         terminal state (e.g. a timeout won the race) and the result
         must be discarded."""
@@ -112,7 +114,6 @@ class Job:
             if self.state != "running":
                 return False
             self.state = "done"
-            self.document = document
             self.finished_at = time.time()
         self._done.set()
         return True
@@ -131,6 +132,15 @@ class Job:
     @property
     def finished(self) -> bool:
         return self._done.is_set()
+
+    @property
+    def document(self) -> Optional[Dict[str, Any]]:
+        """The stored result of a ``done`` job, parsed afresh per read;
+        ``None`` before then (and if the entry has since been removed
+        from the store)."""
+        if self.state != "done":
+            return None
+        return self._store.get(self.spec.spec_hash)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job reaches a terminal state; True on arrival."""
@@ -181,7 +191,7 @@ class JobQueue:
         self.default_timeout_s = default_timeout_s
         self._queue: _queue.Queue = _queue.Queue(maxsize=depth)
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._order: Deque[str] = deque()
         self._live_by_hash: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._accepting = True
@@ -214,13 +224,12 @@ class JobQueue:
             if not self._accepting:
                 raise RuntimeError("job queue is shut down")
             counters["service.jobs_submitted"] += 1
-            cached = self.store.get(spec.spec_hash)
-            if cached is not None:
-                job = Job(self._next_id(spec), spec,
-                          timeout_s=self._timeout_for(spec))
+            # Parsed, not just stat'ed: a truncated entry must read as a
+            # miss and be re-simulated, never served.
+            if self.store.get(spec.spec_hash) is not None:
+                job = self._new_job(spec)
                 job.cache_hit = True
                 job.state = "done"
-                job.document = cached
                 job.finished_at = job.submitted_at
                 job._done.set()
                 self._index(job)
@@ -231,8 +240,7 @@ class JobQueue:
                 live.deduped = True
                 counters["service.deduped"] += 1
                 return live
-            job = Job(self._next_id(spec), spec,
-                      timeout_s=self._timeout_for(spec))
+            job = self._new_job(spec)
             try:
                 self._queue.put_nowait(job)
             except _queue.Full:
@@ -245,13 +253,13 @@ class JobQueue:
             counters["service.jobs_queued"] += 1
             return job
 
-    def _timeout_for(self, spec: ResolvedSpec) -> float:
-        timeout = spec.options.get("timeout_s")
-        return float(timeout) if timeout else self.default_timeout_s
-
-    def _next_id(self, spec: ResolvedSpec) -> str:
+    def _new_job(self, spec: ResolvedSpec) -> Job:
         self._seq += 1
-        return f"{spec.short_id}-{self._seq}"
+        timeout = spec.options.get("timeout_s")
+        return Job(f"{spec.short_id}-{self._seq}", spec,
+                   timeout_s=float(timeout) if timeout
+                   else self.default_timeout_s,
+                   store=self.store)
 
     def _index(self, job: Job) -> None:
         self._jobs[job.job_id] = job
@@ -260,7 +268,7 @@ class JobQueue:
             victim = self._jobs.get(self._order[0])
             if victim is not None and not victim.finished:
                 break  # never evict live bookkeeping
-            self._order.pop(0)
+            self._order.popleft()
             if victim is not None:
                 self._jobs.pop(victim.job_id, None)
 
@@ -345,7 +353,7 @@ class JobQueue:
                 # The run is complete and cached; its checkpoint (if
                 # any) has nothing left to resume.
                 self._discard_checkpoint(job)
-            if job._finish(document):
+            if job._finish():
                 self.registry.counters["service.completed"] += 1
         except SimTimeout:
             self._fail_timeout(job)

@@ -10,9 +10,10 @@ memory-organization agnostic.
 
 Every workload provides a :class:`WorkloadRun`: a root task function, a
 verifier that checks the *program output* against an independent reference
-(sorting really sorts, shortest paths match networkx, ...), and a native
-closure that performs the equivalent computation without simulation — the
-denominator of the paper's normalized simulation time (Fig. 7).
+(sorting really sorts, shortest paths match a sequential Dijkstra, ...),
+and a native closure that performs the equivalent computation without
+simulation — the denominator of the paper's normalized simulation time
+(Fig. 7).
 """
 
 from __future__ import annotations

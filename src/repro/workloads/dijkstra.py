@@ -13,15 +13,15 @@ shared-memory architecture (up to 4282x in the paper).  On distributed
 memory, the per-node distance cells ping-pong between explorers and
 performance collapses (Fig. 9).
 
-Verification compares against networkx's Dijkstra.
+Verification compares against a sequential Dijkstra reference
+(``_reference``), pinned equal to networkx by ``tests/test_workloads.py``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import List, Optional, Tuple
-
-import networkx as nx
 
 from .base import DataSpace, WorkloadRun, make_space, spread_home
 from .generators import adjacency_lists, params_for, random_graph
@@ -82,19 +82,25 @@ def explore_task(ctx, space: DataSpace, adj, dists, frontier: List[Tuple[int, in
                 frontier.extend(half)
 
 
-def _reference(nodes: int, edge_list) -> List[float]:
-    """networkx reference distances from SOURCE (inf when unreachable)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(nodes))
-    for u, v, w in edge_list:
-        # Keep the lightest parallel edge, like adjacency_lists traversal.
-        if graph.has_edge(u, v):
-            if w < graph[u][v]["weight"]:
-                graph[u][v]["weight"] = w
-        else:
-            graph.add_edge(u, v, weight=w)
-    lengths = nx.single_source_dijkstra_path_length(graph, SOURCE)
-    return [lengths.get(v, math.inf) for v in range(nodes)]
+def _reference(adj) -> List[float]:
+    """Sequential Dijkstra distances from SOURCE (inf when unreachable).
+
+    Walks the same adjacency lists the simulated tasks do, so the lightest
+    of several parallel edges wins.
+    """
+    dists: List[float] = [math.inf] * len(adj)
+    dists[SOURCE] = 0
+    heap = [(0, SOURCE)]
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if dist > dists[node]:
+            continue  # stale entry: node was settled through a shorter path
+        for nbr, weight in adj[node]:
+            via = dist + weight
+            if via < dists[nbr]:
+                dists[nbr] = via
+                heapq.heappush(heap, (via, nbr))
+    return dists
 
 
 def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
@@ -127,7 +133,7 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
             out.append(math.inf if d is None else d)
         return {"output": out, "work_vtime": done}
 
-    expected = _reference(nodes, edge_list)
+    expected = _reference(adj)
 
     def verify(result):
         assert len(result) == nodes

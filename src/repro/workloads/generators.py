@@ -9,10 +9,12 @@ elements, graphs of 1000-2000 nodes, 10^6 x 10^6 sparse matrices); the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Per-scale dataset parameters, one entry per benchmark family.
 SCALE_PARAMS: Dict[str, Dict[str, Dict[str, int]]] = {
@@ -120,6 +122,8 @@ def random_sparse_matrix(
     rows: int, nnz_per_row: int, seed: int = 0
 ) -> sp.csr_matrix:
     """A random square CSR matrix with ~nnz_per_row entries per row."""
+    import scipy.sparse as sp  # at the use site: only spmxv pays for scipy
+
     rng = np.random.default_rng(seed)
     nnz = rows * nnz_per_row
     data = rng.random(nnz) + 0.01
@@ -134,6 +138,8 @@ def structured_sparse_matrix(
     rows: int, bandwidth: int = 5, seed: int = 0
 ) -> sp.csr_matrix:
     """A banded matrix standing in for the Matrix Market collection entries."""
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     diags = []
     offsets = []

@@ -260,6 +260,30 @@ class TestFailureIsolation:
         # Failed cells never enter the Pareto frontier.
         assert 1 not in outcome.frame["pareto"]["cells"]
 
+    def test_result_removed_before_the_frame_is_a_failed_cell(self, tmp_path,
+                                                              monkeypatch):
+        # A done job holds no copy of its document: it reads the store.
+        # An entry removed between completion and frame build must cost
+        # that one cell, not raise out of the sweep.
+        from repro.dse import runner
+
+        store_dir = tmp_path / "s"
+        plan = expand_sweep(spec(axes={"arch.n_cores": [9, 16]}))
+        victim = plan.cells[1].spec.spec_hash
+        real_await = runner._await_cells
+
+        def await_then_evict(cell_jobs, timeout_s):
+            real_await(cell_jobs, timeout_s)
+            (store_dir / f"{victim}.json").unlink()
+
+        monkeypatch.setattr(runner, "_await_cells", await_then_evict)
+        outcome = run_sweep(plan, store_dir=str(store_dir), jobs=2)
+        by_index = {c["index"]: c for c in outcome.frame["cells"]}
+        assert by_index[0]["status"] == "ok"
+        assert by_index[1]["status"] == "failed"
+        assert by_index[1]["error"]["type"] == "result_missing"
+        assert outcome.frame["pareto"]["cells"] == [0]
+
 
 # -- exports ------------------------------------------------------------------
 

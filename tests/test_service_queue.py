@@ -9,6 +9,7 @@ only add wall time.
 import os
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,54 @@ class TestCacheAndDedupe:
             assert second.document == first.document
             assert jq.registry.counters["service.simulations_started"] == 1
             assert jq.registry.counters["service.cache_hits"] == 1
+        finally:
+            jq.shutdown()
+
+    def test_hit_document_is_read_from_the_store_not_held(self, store):
+        store.put(_spec().spec_hash, {"result": {"answer": 42}})
+        jq = make_queue(store, workers=1)
+        try:
+            job = jq.submit(_spec())
+            assert job.cache_hit and "document" not in vars(job)
+            first, second = job.document, job.document
+            assert first == second == {"result": {"answer": 42}}
+            assert first is not second  # parsed per read, nothing cached
+        finally:
+            jq.shutdown()
+
+    def test_indexed_hit_costs_bookkeeping_not_a_document(self, store):
+        # A real stored document (~3 KB of JSON, ~15 KB parsed): the
+        # index must not keep one per hit — ≈ 20 KB/hit did, ≈ 80 MB at
+        # MAX_JOBS_INDEXED.  What stays is the Job, its ResolvedSpec
+        # and its lock/event: ~6 KB.
+        jq = make_queue(store, workers=1)
+        try:
+            assert jq.submit(_spec()).wait(120)
+            hits = 1000
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(hits):
+                    assert jq.submit(_spec()).cache_hit
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(jq.jobs()) == hits + 1
+            assert grown / hits < 8 * 1024, grown / hits
+        finally:
+            jq.shutdown()
+
+    def test_truncated_entry_is_resimulated_never_served(self, store):
+        jq = make_queue(store, workers=1)
+        try:
+            with open(store.path_for(_spec().spec_hash), "w") as fh:
+                fh.write('{"truncated": ')
+            job = jq.submit(_spec())
+            assert not job.cache_hit
+            assert job.wait(120) and job.state == "done"
+            assert job.document["result"]["verified"] is True
+            assert jq.registry.counters["service.simulations_started"] == 1
+            assert jq.registry.counters["service.cache_hits"] == 0
         finally:
             jq.shutdown()
 

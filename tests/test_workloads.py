@@ -1,8 +1,9 @@
 """Output-correctness tests for all six dwarf benchmarks.
 
 Every benchmark's simulated output is checked against an independent
-reference (sorted(), union-find, networkx, brute force, scipy) on several
-architectures and seeds.
+reference (sorted(), union-find, a sequential Dijkstra, brute force, scipy)
+on several architectures and seeds; the Dijkstra reference is itself pinned
+equal to networkx here.
 """
 
 import math
@@ -14,7 +15,9 @@ from repro.arch import build_machine, dist_mesh, shared_mesh, shared_mesh_valida
 from repro.workloads import BENCHMARKS, get_workload
 from repro.workloads.quicksort import _partition
 from repro.workloads.barnes_hut import build_tree, _accel_on
-from repro.workloads.generators import random_bodies
+from repro.workloads.dijkstra import _reference as dijkstra_reference
+from repro.workloads.generators import (adjacency_lists, params_for,
+                                        random_bodies, random_graph)
 
 
 def run_on(name, cfg, scale="tiny", seed=0):
@@ -106,6 +109,45 @@ class TestDijkstraDetails:
     def test_source_distance_zero(self):
         result, _, _ = run_on("dijkstra", shared_mesh(4), scale="tiny")
         assert result["output"][0] == 0
+
+    @staticmethod
+    def _networkx_distances(nodes, edge_list):
+        """The oracle: networkx on the simple graph that keeps the
+        lightest of each bundle of parallel edges."""
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(nodes))
+        for u, v, w in edge_list:
+            if not graph.has_edge(u, v) or w < graph[u][v]["weight"]:
+                graph.add_edge(u, v, weight=w)
+        lengths = nx.single_source_dijkstra_path_length(graph, 0)
+        return [lengths.get(v, math.inf) for v in range(nodes)]
+
+    @pytest.mark.parametrize("scale", ["tiny", "small", "medium"])
+    def test_reference_equals_networkx_on_generated_graphs(self, scale):
+        params = params_for("dijkstra", scale)
+        for seed in range(24):
+            edge_list = random_graph(params["nodes"], params["edges"],
+                                     seed=seed, weighted=True)
+            adj = adjacency_lists(params["nodes"], edge_list)
+            assert dijkstra_reference(adj) == self._networkx_distances(
+                params["nodes"], edge_list), f"seed {seed}"
+
+    @pytest.mark.parametrize("nodes,edge_list,want", [
+        # Isolated source: everything but the source is unreachable.
+        (4, [(1, 2, 5), (2, 3, 1)], [0, math.inf, math.inf, math.inf]),
+        # Parallel edges of different weight: the lightest wins, whichever
+        # order they were generated in.
+        (3, [(0, 1, 9), (0, 1, 2), (1, 2, 4), (2, 1, 7)], [0, 2, 6]),
+        # A component the source cannot reach.
+        (5, [(0, 1, 3), (1, 2, 3), (0, 2, 7), (3, 4, 1)],
+         [0, 3, 6, math.inf, math.inf]),
+    ], ids=["isolated-source", "parallel-edges", "disconnected"])
+    def test_reference_on_hand_built_graphs(self, nodes, edge_list, want):
+        got = dijkstra_reference(adjacency_lists(nodes, edge_list))
+        assert got == want
+        assert got == self._networkx_distances(nodes, edge_list)
 
 
 class TestBarnesHutDetails:
