@@ -154,6 +154,11 @@ class VirtualTimeFabric:
         # busy machine most advances then skip the wave entirely.
         self._idle_nbr_count: List[int] = [
             len(nbrs) for nbrs in self._neighbors]
+        #: Per core, the neighbour that gave its last computed minimum.
+        #: Any neighbour bounds that minimum, so a stale witness costs one
+        #: ``min()``, never a bit: derived state, not checkpointed.
+        self._held_by: List[int] = [
+            nbrs[0] if nbrs else c for c, nbrs in enumerate(self._neighbors)]
         #: Opt-in telemetry registry (set via Machine.attach_telemetry).
         #: Observation-only: guards cost one attribute load when off.
         self.telemetry = None
@@ -418,7 +423,8 @@ class VirtualTimeFabric:
         # clamp keeps mutual relaxation between idle cores from climbing
         # without bound when no active anchor is in sight.
         ceiling = self.max_vtime + self.T
-        cand = min(min(map(pub.__getitem__, nbrs)) + self.T, ceiling)
+        held = self._held_by[cid] = min(nbrs, key=pub.__getitem__)
+        cand = min(pub[held] + self.T, ceiling)
         if cand > pub[cid]:
             pub[cid] = cand
             self._notify(cid)
@@ -432,6 +438,7 @@ class VirtualTimeFabric:
         pub = self.published
         active = self.active
         neighbors = self._neighbors
+        held = self._held_by
         getter = pub.__getitem__
         notify = self.on_publish_increase
         T = self.T
@@ -439,20 +446,23 @@ class VirtualTimeFabric:
         stack = [cid]
         while stack:
             x = stack.pop()
+            # j's candidate is min over its neighbours + T, clamped at the
+            # ceiling: <= min(px + T, ceiling).  A j already publishing at
+            # least that cannot rise — skip the inner min entirely.
             limit = pub[x] + T
+            if limit > ceiling:
+                limit = ceiling
             for j in neighbors[x]:
                 if active[j]:
                     continue
-                # The candidate is min over j's neighbours + T <= px + T,
-                # so if j already publishes >= px + T nothing can rise:
-                # skip the inner min entirely (hot path at 1024 cores).
-                if pub[j] >= limit:
+                pj = pub[j]
+                if pj >= limit or pub[held[j]] + T <= pj:
                     continue
-                cand = min(map(getter, neighbors[j]))
-                cand = cand + T
+                w = held[j] = min(neighbors[j], key=getter)
+                cand = pub[w] + T
                 if cand > ceiling:
                     cand = ceiling
-                if cand > pub[j]:
+                if cand > pj:
                     pub[j] = cand
                     if notify is not None:
                         notify(j)

@@ -1,21 +1,21 @@
 """Routing tables.
 
 A route ``src -> dst`` is the path to ``dst`` in ``src``'s own
-latency-shortest-path tree: one Dijkstra per source that a message
-actually leaves, with ties resolved by (distance, node id).  The search
-is resumable and exits early — it settles nodes only until the queried
-destination is settled and picks up from its live heap on the next
-query — so a source that only talks to near cores never sweeps a
-1024-core mesh.  Direct neighbours skip the search entirely (the
-run-time system dispatches tasks to neighbours only).
+latency-shortest-path tree, with ties resolved by (distance, node id).
+On an unmodified ``mesh2d`` whose links share one latency (``topo.grid``
+set) that path has a closed form — x then y when the destination row is
+at or below the source row, y then x when it is above — and no search
+runs.  Every other topology (torus, ring, crossbar, clustered,
+hierarchical, ``from_adjacency``, mixed latencies, an added link) runs
+one resumable, early-exit Dijkstra per source that a message leaves;
+direct neighbours skip it (the run-time system dispatches to neighbours).
 
-The route's latency is the source's Dijkstra distance, which is the
-left-to-right sum of the link latencies along the path.  With latencies
-whose sums are exact in floating point (every preset: 1.0, 0.5, 4.0)
-this is also the route a hop-by-hop walk through each intermediate
-core's own tree would take; with heterogeneous latencies that tie only
-up to rounding the two can differ, and the source-tree route is never
-the longer one.  See docs/internals.md, "Route resolution".
+The route's latency is the left-to-right sum of the link latencies along
+the path.  With latencies whose sums are exact in floating point (every
+preset: 1.0, 0.5, 4.0) this is also the route a hop-by-hop walk through
+each intermediate core's own tree would take; otherwise the two can
+differ, and the source-tree route is never the longer one.  See
+docs/internals.md, "Route resolution".
 """
 
 from __future__ import annotations
@@ -27,6 +27,19 @@ from typing import Dict, List, Optional, Tuple
 from .topology import Topology
 
 Path = Tuple[int, ...]
+
+
+def _grid_walk(width: int, src: int, dst: int, x_first: bool) -> List[int]:
+    """Nodes of the dimension-ordered walk ``src -> dst`` on a grid whose
+    core ``(x, y)`` is ``y * width + x``: one axis fully, then the other."""
+    sy, sx = divmod(src, width)
+    dy, dx = divmod(dst, width)
+    x_leg = [1 if dx > sx else -1] * abs(dx - sx)
+    y_leg = [width if dy > sy else -width] * abs(dy - sy)
+    nodes = [src]
+    for step in (x_leg + y_leg if x_first else y_leg + x_leg):
+        nodes.append(nodes[-1] + step)
+    return nodes
 
 
 class RoutingTable:
@@ -44,21 +57,21 @@ class RoutingTable:
         # (neighbour, latency) rows snapshotted from the topology for the
         # search's inner loop; rebuilt after clear_cache().
         self._rows: Optional[List[Tuple[Tuple[int, float], ...]]] = None
-        self._min_latency: Optional[float] = None
+        # (cheapest, dearest) link latency, computed on first use.
+        self._latency_range: Optional[Tuple[float, float]] = None
 
     @property
     def trees_built(self) -> int:
         """Number of sources whose shortest-path tree has been started."""
         return len(self._trees)
 
-    def _global_min_latency(self) -> float:
-        """Cheapest link latency in the topology (lazy, cached)."""
-        if self._min_latency is None:
-            self._min_latency = min(
-                (spec.latency for _, _, spec in self.topo.edges()),
-                default=0.0,
-            )
-        return self._min_latency
+    def _latencies(self) -> Tuple[float, float]:
+        """Cheapest and dearest link latency in the topology (cached)."""
+        if self._latency_range is None:
+            lats = [spec.latency for _, _, spec in self.topo.edges()]
+            self._latency_range = (min(lats, default=0.0),
+                                   max(lats, default=0.0))
+        return self._latency_range
 
     def _settle(self, src: int, dst: int) -> Tuple[array, array]:
         """Grow ``src``'s tree until ``dst`` is settled; return (dist, parent)."""
@@ -102,6 +115,17 @@ class RoutingTable:
         """Path and latency of one pair (uncached)."""
         if src == dst:
             return (src,), 0.0
+        grid = self.topo.grid
+        lo, hi = self._latencies()
+        if grid is not None and lo == hi:
+            # Closed form of the (distance, id) tree path on a uniform
+            # mesh: x first unless the destination row is above.
+            width = grid[0]
+            nodes = _grid_walk(width, src, dst, dst // width >= src // width)
+            total = 0.0
+            for _ in range(len(nodes) - 1):
+                total += lo
+            return tuple(nodes), total
         # Fast path: most run-time traffic is neighbour-to-neighbour
         # (dispatch goes to neighbours only).  The direct link is provably
         # shortest when its latency is at most twice the cheapest link in
@@ -109,7 +133,7 @@ class RoutingTable:
         # avoids growing a tree for sources that never talk further.
         if self.topo.has_link(src, dst):
             direct = self.topo.link_spec(src, dst).latency
-            if direct <= 2 * self._global_min_latency():
+            if direct <= 2 * lo:
                 # 0.0 + ...: the same float a search would return, also
                 # for a latency given as an int.
                 return (src, dst), 0.0 + direct
@@ -153,7 +177,7 @@ class RoutingTable:
         self._path_cache.clear()
         self._trees.clear()
         self._rows = None
-        self._min_latency = None
+        self._latency_range = None
 
 
 class XYRouting(RoutingTable):
@@ -173,17 +197,7 @@ class XYRouting(RoutingTable):
         self.width = width
 
     def _resolve(self, src: int, dst: int) -> Tuple[Path, float]:
-        width = self.width
-        sx, sy = src % width, src // width
-        dx, dy = dst % width, dst // width
-        nodes = [src]
-        x, y = sx, sy
-        while x != dx:
-            x += 1 if dx > x else -1
-            nodes.append(y * width + x)
-        while y != dy:
-            y += 1 if dy > y else -1
-            nodes.append(y * width + x)
+        nodes = _grid_walk(self.width, src, dst, x_first=True)
         total = 0.0
         for u, v in zip(nodes, nodes[1:]):
             if not self.topo.has_link(u, v):

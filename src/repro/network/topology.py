@@ -37,6 +37,10 @@ class Topology:
         self.name = name
         self._adj: List[Dict[int, LinkSpec]] = [dict() for _ in range(n_cores)]
         self._n_edges = 0
+        #: ``(width, height)`` while this is an unmodified ``mesh2d``
+        #: (core ``y * width + x``); routing walks such meshes in closed
+        #: form.  Any ``add_link`` makes it a general graph again.
+        self.grid: Optional[Tuple[int, int]] = None
 
     # -- construction -------------------------------------------------------
     def add_link(self, u: int, v: int, spec: Optional[LinkSpec] = None) -> None:
@@ -46,6 +50,7 @@ class Topology:
         if u == v:
             raise ValueError("self-links are not allowed")
         spec = spec or LinkSpec()
+        self.grid = None
         if v not in self._adj[u]:
             self._n_edges += 1
         self._adj[u][v] = spec
@@ -170,6 +175,7 @@ def mesh2d(
                 topo.add_link(node(x, y), node(x + 1, y), spec)
             if y + 1 < height:
                 topo.add_link(node(x, y), node(x, y + 1), spec)
+    topo.grid = (width, height)
     return topo
 
 

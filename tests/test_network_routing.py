@@ -174,6 +174,7 @@ def _assert_matches_reference(topo, pairs):
         path, latency = _reference_path(topo, src, dst, tables)
         assert routing.path(src, dst) == path, (src, dst)
         assert _same_bits(routing.path_latency(src, dst), latency), (src, dst)
+    return routing
 
 
 def _dyadic_adjacency(n: int, seed: int):
@@ -227,6 +228,60 @@ class TestSourceTreeEqualsHopByHop:
         pairs = [(rng.randrange(1024), rng.randrange(1024))
                  for _ in range(2000)]
         _assert_matches_reference(square_mesh(1024), pairs)
+
+
+class TestClosedFormMesh:
+    """Uniform meshes route by the grid walk, which is the (distance, id)
+    tree path: equal to the hop-by-hop reference, and no tree is grown."""
+
+    @pytest.mark.parametrize("latency", [1.0, 0.3, 0.7, 4.0])
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_all_pairs_equal_reference(self, n, latency):
+        topo = square_mesh(n, latency=latency)
+        assert topo.grid is not None
+        pairs = [(s, d) for s in range(n) for d in range(n)]
+        routing = _assert_matches_reference(topo, pairs)
+        assert routing.trees_built == 0
+
+    # Latency 1.0 is TestSourceTreeEqualsHopByHop's 1024-core case.
+    @pytest.mark.parametrize("latency", [0.3, 0.7, 4.0])
+    def test_sampled_pairs_on_the_1024_core_mesh(self, latency):
+        rng = random.Random(3)
+        pairs = [(rng.randrange(1024), rng.randrange(1024))
+                 for _ in range(2000)]
+        routing = _assert_matches_reference(
+            square_mesh(1024, latency=latency), pairs)
+        assert routing.trees_built == 0
+
+    def test_shapes_of_the_walk(self):
+        routing = RoutingTable(mesh2d(4, 4))
+        assert routing.path(0, 10) == (0, 1, 2, 6, 10)   # down: x first
+        assert routing.path(10, 0) == (10, 6, 2, 1, 0)   # up: y first
+        assert routing.path(12, 3) == (12, 8, 4, 0, 1, 2, 3)
+        assert routing.path(4, 7) == (4, 5, 6, 7)
+        assert routing.trees_built == 0
+
+    def test_added_link_makes_the_mesh_a_graph(self):
+        topo = mesh2d(4, 4)
+        assert topo.grid == (4, 4)
+        topo.add_link(0, 15)
+        assert topo.grid is None
+        routing = RoutingTable(topo)
+        assert routing.path(1, 14) == (1, 0, 15, 14)
+        assert routing.trees_built == 1
+        _assert_matches_reference(
+            topo, [(s, d) for s in range(16) for d in range(16)])
+
+    def test_mixed_latencies_search(self):
+        topo = mesh2d(3, 3)
+        routing = RoutingTable(topo)
+        assert routing.path(0, 8) == (0, 1, 2, 5, 8)
+        topo.add_link(1, 2, LinkSpec(latency=9.0))   # re-spec one link
+        routing.clear_cache()
+        assert routing.path_latency(0, 8) == 4.0      # around the slow link
+        assert routing.trees_built == 1
+        _assert_matches_reference(
+            topo, [(s, d) for s in range(9) for d in range(9)])
 
 
 @st.composite
@@ -293,31 +348,33 @@ class TestRandomGraphs:
 
 
 class TestResumableTrees:
-    """One tree per source, grown only as far as the queries need."""
+    """One tree per source, grown only as far as the queries need.
 
-    FAR, NEAR = 63, 18  # from core 0 of an 8x8 mesh
+    On a torus: a uniform mesh resolves in closed form and grows none."""
+
+    FAR, NEAR = 36, 18  # 8 and 4 hops from core 0 of an 8x8 torus
 
     def _fresh(self, dst):
-        routing = RoutingTable(mesh2d(8, 8))
+        routing = RoutingTable(torus2d(8, 8))
         return routing.path(0, dst), routing.path_latency(0, dst)
 
     @pytest.mark.parametrize("order", [(NEAR, FAR), (FAR, NEAR)])
     def test_query_order_does_not_change_answers(self, order):
-        routing = RoutingTable(mesh2d(8, 8))
+        routing = RoutingTable(torus2d(8, 8))
         for dst in order:
             got = routing.path(0, dst), routing.path_latency(0, dst)
             assert got == self._fresh(dst)
         assert routing.trees_built == 1
 
     def test_near_query_stops_early(self):
-        routing = RoutingTable(mesh2d(8, 8))
+        routing = RoutingTable(torus2d(8, 8))
         routing.path(0, self.NEAR)
         settled = routing._trees[0][2]
         assert settled[self.NEAR] and not settled[self.FAR]
         assert sum(settled) < 64
 
     def test_neighbour_traffic_builds_no_tree(self):
-        routing = RoutingTable(mesh2d(8, 8))
+        routing = RoutingTable(torus2d(8, 8))
         assert routing.path(9, 10) == (9, 10)
         assert routing.next_hop(9, 10) == 10
         assert routing.trees_built == 0
