@@ -53,6 +53,48 @@ from ..timing.isa import CostTable, default_cost_table
 
 INF = math.inf
 
+#: The observation seam (docs/internals.md §7): every event a Machine
+#: emits, each from one place, with its callback arguments.  Observers
+#: (``Tracer``, ``Sanitizer``, ``Telemetry``) ``subscribe`` callbacks;
+#: an event nobody subscribed costs one ``is not None`` check.
+EVENTS = (
+    "task_started",    # (core, task) after a start or resume
+    "task_suspended",  # (core, task) as the task leaves the core
+    "task_finished",   # (core, task) before the run-time's finish hook
+    "stalled",         # (core) on a drift-stall transition
+    "admitted",        # (core) the policy admitted the core's next unit
+    "dispatched",      # (core, action) a task yielded an action
+    "serviced",        # (core, msg) before the message is serviced
+    "handled",         # (core, msg) after its handler returned
+    "emitted",         # (msg) once the NoC assigned its arrival
+    "injected",        # (msg) a boundary message entered its inbox
+    "advanced",        # (core) after the core's clock moved forward
+    "slice_ended",     # (core, progressed)
+    "rescue",          # () a no-runnable recovery round begins
+    "run_finished",    # () after finish_run folded the stats
+    "proxy_anchored",  # (cid, value, published before)
+    "shadow_adopted",  # (cid, value, published before)
+)
+
+
+class Observers:
+    """The callback of each :data:`EVENTS` entry: ``None`` until
+    subscribed, then its one subscriber or a chain calling each of them
+    in subscription order."""
+
+    __slots__ = EVENTS
+
+    def __init__(self) -> None:
+        for event in EVENTS:
+            setattr(self, event, None)
+
+
+def _chain(first: Callable, then: Callable) -> Callable:
+    def emit(*args) -> None:
+        first(*args)
+        then(*args)
+    return emit
+
 
 @dataclass
 class EngineParams:
@@ -254,16 +296,19 @@ class Machine:
         self.tracer = None
         #: Runtime invariant checker (``repro.verify.Sanitizer``); set by
         #: the builder when ``ArchConfig.sanitize`` is on.  The engine
-        #: never consults it — the sanitizer hooks in from outside — but
-        #: the worker/CLI layers use it to drive round-scoped checks.
+        #: never consults it — the sanitizer subscribes to
+        #: :attr:`observers` — but the worker/CLI layers use it to drive
+        #: round-scoped checks.
         self.sanitizer = None
         #: Opt-in telemetry registry (``repro.obs.Telemetry``); set by the
-        #: builder when ``ArchConfig.telemetry`` is non-empty.  Every
-        #: hot-path instrumentation site guards on this being non-None,
-        #: so a machine without telemetry pays one attribute load per
-        #: guard and nothing else.  Telemetry is observation-only:
-        #: results are bit-identical with it on.
+        #: builder when ``ArchConfig.telemetry`` is non-empty, and
+        #: subscribed to :attr:`observers` by :meth:`attach_telemetry`.
+        #: Telemetry is observation-only: results are bit-identical with
+        #: it on.
         self.telemetry = None
+        #: The observation seam: one callback per :data:`EVENTS` entry,
+        #: set by :meth:`subscribe`.
+        self.observers = Observers()
         # Shard-execution scope (sharded backend): when set, only cores in
         # ``_owned`` are driven locally and messages to other cores are
         # handed to ``_foreign_sink`` instead of delivered (see
@@ -337,6 +382,17 @@ class Machine:
         before :meth:`attach_runtime` so the runtime can cache it."""
         self.telemetry = telemetry
         self.fabric.telemetry = telemetry
+        telemetry.observe(self)
+
+    def subscribe(self, **callbacks: Callable) -> None:
+        """Add a callback to each named event of :data:`EVENTS`, after
+        those already subscribed (an unknown name raises)."""
+        observers = self.observers
+        for event, fn in callbacks.items():
+            prior = getattr(observers, event)
+            if prior is not None:
+                fn = _chain(prior, fn)
+            setattr(observers, event, fn)
 
     def register_handler(
         self, kind: MsgKind, handler: Callable[[CoreUnit, Message], None]
@@ -620,13 +676,7 @@ class Machine:
         if core is None:
             return False
         self.stats.lock_waiver_runs += 1
-        policy = self.policy
-        orig = policy.may_run
-        policy.__dict__["may_run"] = lambda c: c is core or orig(c)
-        try:
-            progressed = self._run_slice(core)
-        finally:
-            del policy.__dict__["may_run"]
+        progressed = self._run_slice(core, forced=True)
         if core.has_work():
             self._make_ready(core)
         return progressed
@@ -660,9 +710,25 @@ class Machine:
                 continue
             old = published[cid]
             if math.isinf(old) or value > old:
-                fabric.adopt_shadow(cid, value)
+                self.adopt_shadow(cid, value)
                 raised = True
         return raised
+
+    def set_proxy_time(self, cid: int, value: float) -> None:
+        """Anchor boundary proxy ``cid`` at its owner's published time
+        (:meth:`VirtualTimeFabric.set_proxy_time`)."""
+        before = self.fabric.published[cid]
+        self.fabric.set_proxy_time(cid, value)
+        if self.observers.proxy_anchored is not None:
+            self.observers.proxy_anchored(cid, value, before)
+
+    def adopt_shadow(self, cid: int, value: float) -> None:
+        """Adopt a coordinator-computed shadow for idle core ``cid``
+        (:meth:`VirtualTimeFabric.adopt_shadow`)."""
+        before = self.fabric.published[cid]
+        self.fabric.adopt_shadow(cid, value)
+        if self.observers.shadow_adopted is not None:
+            self.observers.shadow_adopted(cid, value, before)
 
     def _core_next_time(self, core: CoreUnit) -> float:
         """Earliest virtual time at which the core can actually execute
@@ -731,13 +797,12 @@ class Machine:
         msg.arrival = arrival
         dest = self.cores[dst]
         dest.inbox_push(msg)
-        tel = self.telemetry
-        if tel is not None:
-            tel.inbox_hist.observe(len(dest.inbox))
         hook = self._on_event_enqueued
         if hook is not None:
             hook(dest)
         self._make_ready(dest)
+        if self.observers.injected is not None:
+            self.observers.injected(msg)
         return msg
 
     def finish_run(self) -> None:
@@ -753,6 +818,8 @@ class Machine:
         self.stats.shadow_recomputes = self.fabric.shadow_recomputes
         for c in self.cores:
             self.stats.core_busy_cycles[c.cid] = c.busy_cycles
+        if self.observers.run_finished is not None:
+            self.observers.run_finished()
 
     @property
     def trace(self) -> Optional[Dict[str, list]]:
@@ -796,9 +863,8 @@ class Machine:
             stalled_col[cid] = 1
             self._stalled.add(cid)
             self.stats.drift_stalls += 1
-            tel = self.telemetry
-            if tel is not None:
-                tel.note_stall(cid, self.fabric)
+            if self.observers.stalled is not None:
+                self.observers.stalled(core)
 
     def _on_publish_increase(self, cid: int) -> None:
         """Fabric hook: a core's published time rose; wake stalled neighbours."""
@@ -820,7 +886,6 @@ class Machine:
     def _main_loop(self) -> None:
         stale_rescues = 0
         stop_at = self._stop_at_vtime
-        tel = self.telemetry
         while self.live_tasks > 0:
             if stop_at is not None and self.fabric.max_vtime >= stop_at:
                 return  # partial simulation requested
@@ -835,9 +900,8 @@ class Machine:
                 stale_rescues += 1
                 if stale_rescues > 2:
                     self._raise_deadlock()
-            if tel is not None:
-                tel.phase = "rescue"
-                tel.counters["engine.rescue_rounds"] += 1
+            if self.observers.rescue is not None:
+                self.observers.rescue()
             self.policy.on_no_runnable()
             self.fabric.refresh_shadows()
             if not self._push_all_stalled() and not self._ready:
@@ -957,6 +1021,7 @@ class Machine:
         policy = self.policy
         budget = self.params.slice_actions
         progressed = False
+        admitted = self.observers.admitted
         while budget > 0:
             unit = self._earliest_unit(core)
             if unit is None:
@@ -965,6 +1030,8 @@ class Machine:
             if not policy.may_run_unit(core, t):
                 self._mark_stalled(core)
                 return progressed
+            if admitted is not None:
+                admitted(core)
             if kind == "msg":
                 msg = core.inbox_pop_earliest()
                 self._process_message(core, msg)
@@ -983,18 +1050,22 @@ class Machine:
             self._go_idle(core)
         return progressed
 
-    def _run_slice(self, core: CoreUnit) -> bool:
-        """Run one core until it blocks, stalls, idles or exhausts its slice."""
+    def _run_slice(self, core: CoreUnit, forced: bool = False) -> bool:
+        """Run one core until it blocks, stalls, idles or exhausts its slice.
+
+        A ``forced`` slice (the shard waiver) admits every unit without
+        asking the policy, and emits no ``admitted`` events.
+        """
         if self._ordered_units:
             return self._run_ordered_slice(core)
-        policy = self.policy
-        may_run = policy.may_run
+        observers = self.observers
+        if forced:
+            may_run, admitted = (lambda c: True), None
+        else:
+            may_run, admitted = self.policy.may_run, observers.admitted
         budget = self.params.slice_actions
         progressed = False
         reception_exempt = self._reception_exempt
-        tel = self.telemetry
-        if tel is not None:
-            tel.phase = "execute"
         while budget > 0:
             if not may_run(core):
                 # Message reception is simulator infrastructure: a spawned
@@ -1009,6 +1080,8 @@ class Machine:
                     continue
                 self._mark_stalled(core)
                 return progressed
+            if admitted is not None:
+                admitted(core)
             if core.inbox:
                 # The run-time polls its lock-free message buffers at block
                 # boundaries (between actions), not only between tasks:
@@ -1034,7 +1107,11 @@ class Machine:
                 continue
             break  # no work left
         if core.has_work():
-            if may_run(core) or (reception_exempt and core.inbox):
+            if may_run(core):
+                if admitted is not None:
+                    admitted(core)
+                self._make_ready(core)
+            elif reception_exempt and core.inbox:
                 self._make_ready(core)
             else:
                 self._mark_stalled(core)
@@ -1044,10 +1121,8 @@ class Machine:
             # entry would otherwise anchor the horizon forever) and gives
             # the run-time its idle hook (work stealing).
             self._go_idle(core)
-        if tel is not None and progressed:
-            # "Admitted" = the slice executed at least one unit; stall
-            # transitions are counted separately in _mark_stalled.
-            tel.note_slice(core.cid, self.fabric)
+        if observers.slice_ended is not None:
+            observers.slice_ended(core, progressed)
         return progressed
 
     def _pop_inbox(self, core: CoreUnit) -> Message:
@@ -1065,6 +1140,8 @@ class Machine:
         if cycles == 0:
             return
         self.fabric.advance(core.cid, self.fabric.vtime[core.cid] + cycles)
+        if self.observers.advanced is not None:
+            self.observers.advanced(core)
         self._busy_col[core.cid] += cycles
         hook = self._on_advance_hook
         if hook is not None:
@@ -1074,6 +1151,8 @@ class Machine:
         """Advance a core's virtual time to ``t`` if in its future (waiting)."""
         if t > self.fabric.vtime[core.cid]:
             self.fabric.advance(core.cid, t)
+            if self.observers.advanced is not None:
+                self.observers.advanced(core)
             hook = self._on_advance_hook
             if hook is not None:
                 hook(core)
@@ -1107,16 +1186,15 @@ class Machine:
             # here; the sink ships the message to the owning shard, which
             # delivers it via inject_message.
             self._foreign_sink(msg)
-            return msg
-        dest = self.cores[dst]
-        dest.inbox_push(msg)
-        tel = self.telemetry
-        if tel is not None:
-            tel.inbox_hist.observe(len(dest.inbox))
-        hook = self._on_event_enqueued
-        if hook is not None:
-            hook(dest)
-        self._make_ready(dest)
+        else:
+            dest = self.cores[dst]
+            dest.inbox_push(msg)
+            hook = self._on_event_enqueued
+            if hook is not None:
+                hook(dest)
+            self._make_ready(dest)
+        if self.observers.emitted is not None:
+            self.observers.emitted(msg)
         return msg
 
     def send_message(
@@ -1153,6 +1231,9 @@ class Machine:
         request's time plus a local processing time (paper, Section II-A).
         A per-core service clock serializes back-to-back handling.
         """
+        # Before last_arrival moves: the ordered-inbox check reads it.
+        if self.observers.serviced is not None:
+            self.observers.serviced(core, msg)
         cid = core.cid
         arrival = msg.arrival
         last_col = self._last_arrival_col
@@ -1167,12 +1248,9 @@ class Machine:
         handler = self._handlers.get(msg.kind)
         if handler is None:
             raise SimError(f"no handler registered for {msg.kind}")
-        tel = self.telemetry
-        if tel is not None:
-            tel.phase = "service"
         handler(core, msg)
-        if tel is not None:
-            tel.phase = "execute"  # servicing happens inside a slice
+        if self.observers.handled is not None:
+            self.observers.handled(core, msg)
         # Servicing consumed this message: refresh the policy's view of the
         # core's event horizon (its next pending event moved forward).
         hook = self._on_advance_hook
@@ -1258,6 +1336,8 @@ class Machine:
         task = core.current
         if task is None:
             raise SimError("no current task to suspend")
+        if self.observers.task_suspended is not None:
+            self.observers.task_suspended(core, task)
         task.state = TaskState.SUSPENDED
         task.waiting_on = reason
         core.current = None
@@ -1301,6 +1381,8 @@ class Machine:
         hook = self._on_advance_hook
         if hook is not None:
             hook(core)
+        if self.observers.task_started is not None:
+            self.observers.task_started(core, task)
 
     def _step_task(self, core: CoreUnit) -> None:
         """Execute the current task's next action through the handler
@@ -1329,9 +1411,8 @@ class Machine:
         max_actions = self.params.max_host_actions
         if max_actions is not None and stats.actions > max_actions:
             raise SimError("max_host_actions exceeded (runaway simulation?)")
-        tel = self.telemetry
-        if tel is not None:
-            tel.actions[type(action)] += 1
+        if self.observers.dispatched is not None:
+            self.observers.dispatched(core, action)
         handler = self._action_handlers.get(type(action))
         if handler is None:
             raise SimError(f"task yielded unknown action {action!r}")
@@ -1344,6 +1425,10 @@ class Machine:
         self.live_tasks -= 1
         if task.finish_time > self.last_finish_time:
             self.last_finish_time = task.finish_time
+        # Before the run-time's hook, which charges the group decrement:
+        # the task's span ends at its last action.
+        if self.observers.task_finished is not None:
+            self.observers.task_finished(core, task)
         self.runtime.on_task_finished(core, task)
 
     # -- action handlers -----------------------------------------------------

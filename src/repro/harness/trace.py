@@ -8,8 +8,9 @@ virtual time:
 * message events (kind, source, destination, send/arrival times).
 
 Traces render as text Gantt charts (one lane per core) and export as lists
-of dicts for external analysis.  Tracing hooks the engine's task lifecycle
-non-invasively (method wrapping), so it costs nothing when not attached.
+of dicts for external analysis.  The tracer subscribes to the machine's
+observation seam (``Machine.subscribe``) for task start/suspend/finish,
+stall and service events, so it costs nothing when not attached.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ class MsgEvent:
 class Tracer:
     """Records task spans, stalls and messages from one machine run.
 
-    Attach *before* running; the tracer wraps the machine's scheduling
-    hooks, so everything that executes afterwards is captured.  Query
-    the raw records (``spans``, ``stalls``, ``messages``), compute
-    ``core_utilization()``, dump ``export()`` for external tooling, or
-    draw ``render_gantt()``.
+    Attach *before* running; construction subscribes the tracer to the
+    machine's events, so everything that executes afterwards is
+    captured.  Query the raw records (``spans``, ``stalls``,
+    ``messages``), compute ``core_utilization()``, dump ``export()`` for
+    external tooling, or draw ``render_gantt()``.
 
     Example::
 
@@ -77,70 +78,37 @@ class Tracer:
         self.stalls: List[Dict[str, float]] = []
         self.messages: List[MsgEvent] = []
         self._open: Dict[int, tuple] = {}  # core -> (task name, start)
-        self._install(trace_messages)
-
-    # -- hook installation ---------------------------------------------------
-    def _install(self, trace_messages: bool) -> None:
-        machine = self.machine
-        fabric = machine.fabric
-
-        original_start = machine._start_or_resume
-
-        def start_or_resume(core, task):
-            original_start(core, task)
-            name = getattr(task.fn, "__name__", "task") + f"#{task.tid}"
-            self._open[core.cid] = (name, fabric.vtime[core.cid])
-
-        machine._start_or_resume = start_or_resume
-
-        original_finish = machine._finish_task
-
-        def finish_task(core, task):
-            self._close_span(core.cid, fabric.vtime[core.cid])
-            original_finish(core, task)
-
-        machine._finish_task = finish_task
-
-        original_suspend = machine.suspend_current
-
-        def suspend_current(core, reason):
-            self._close_span(core.cid, fabric.vtime[core.cid])
-            return original_suspend(core, reason)
-
-        machine.suspend_current = suspend_current
-
-        original_stall = machine._mark_stalled
-
-        def mark_stalled(core):
-            was_stalled = core.stalled
-            original_stall(core)
-            if not was_stalled and fabric.active[core.cid]:
-                self.stalls.append({
-                    "core": core.cid,
-                    "vtime": fabric.vtime[core.cid],
-                    "floor": fabric.floor(core.cid),
-                })
-
-        machine._mark_stalled = mark_stalled
-
+        self._fabric = machine.fabric
+        events = dict(task_started=self._open_span,
+                      task_suspended=self._close_span,
+                      task_finished=self._close_span,
+                      stalled=self._record_stall)
         if trace_messages:
-            original_process = machine._process_message
+            events["serviced"] = self._record_message
+        machine.subscribe(**events)
 
-            def process_message(core, msg: Message):
-                self.messages.append(MsgEvent(
-                    msg.kind.value, msg.src, msg.dst,
-                    msg.send_time, msg.arrival,
-                ))
-                original_process(core, msg)
+    # -- observation-seam callbacks ------------------------------------------
+    def _open_span(self, core, task) -> None:
+        name = getattr(task.fn, "__name__", "task") + f"#{task.tid}"
+        self._open[core.cid] = (name, self._fabric.vtime[core.cid])
 
-            machine._process_message = process_message
+    def _close_span(self, core, task) -> None:
+        entry = self._open.pop(core.cid, None)
+        if entry is not None:
+            name, start = entry
+            end = self._fabric.vtime[core.cid]
+            self.spans.append(Span(core.cid, name, start, end))
 
-    def _close_span(self, cid: int, end: float) -> None:
-        entry = self._open.pop(cid, None)
-        if entry is None:
-            return
-        name, start = entry
-        self.spans.append(Span(cid, name, start, end))
+    def _record_stall(self, core) -> None:
+        fabric = self._fabric
+        if fabric.active[core.cid]:
+            self.stalls.append({"core": core.cid,
+                                "vtime": fabric.vtime[core.cid],
+                                "floor": fabric.floor(core.cid)})
+
+    def _record_message(self, core, msg: Message) -> None:
+        self.messages.append(MsgEvent(msg.kind.value, msg.src, msg.dst,
+                                      msg.send_time, msg.arrival))
 
     def _effective_spans(self) -> List[Span]:
         """Closed spans plus still-open ones flushed at the cores' clocks.

@@ -3,9 +3,9 @@
 A frame-walking profiler (``sys.setprofile``, ``signal.setitimer`` +
 traceback inspection) costs far more than the 5 % overhead budget in a
 pure-Python inner loop, and its output — Python function names — is the
-wrong vocabulary anyway.  Instead the engine maintains a *current-phase
-marker* (``Telemetry.phase``, a plain string attribute it already
-updates under its telemetry guards) and a daemon thread samples that
+wrong vocabulary anyway.  Instead telemetry keeps a *current-phase
+marker* (``Telemetry.phase``, a plain string attribute its engine
+subscriptions update) and a daemon thread samples that
 marker at a fixed interval.  One attribute read per sample, no frames,
 no signals; the GIL makes the read atomic.
 

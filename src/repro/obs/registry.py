@@ -2,10 +2,12 @@
 
 This is the data layer of the observability subsystem (see
 ``docs/observability.md``).  A :class:`Telemetry` object is attached to
-a machine when ``ArchConfig.telemetry`` is non-empty; every hot-path
-instrumentation site in the engine/fabric/runtime guards on a cached
-``telemetry is not None`` check, so a machine built without telemetry
-pays nothing beyond one attribute load per guard.
+a machine when ``ArchConfig.telemetry`` is non-empty.  Engine events
+reach it as subscriptions on the machine's observation seam
+(:meth:`Telemetry.observe`); the fabric and run-time layer counters keep
+a cached ``telemetry is not None`` guard.  A machine built without
+telemetry pays one ``is not None`` check per engine event and one
+attribute load per layer guard.
 
 Design constraints, in order:
 
@@ -208,9 +210,10 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
 class Telemetry:
     """Per-machine telemetry facade: a registry plus cached hot handles.
 
-    The engine, fabric and runtime hold a reference to this object and
-    touch its plain-container attributes directly; everything funnels
-    into :meth:`snapshot` for sinks and coordinator-side merging.
+    The engine calls it through :meth:`observe`'s subscriptions; the
+    fabric and runtime hold a reference and touch its plain-container
+    attributes directly; everything funnels into :meth:`snapshot` for
+    sinks and coordinator-side merging.
     """
 
     def __init__(self, spec="all", n_cores: int = 0):
@@ -236,37 +239,69 @@ class Telemetry:
         parts = ",".join(p for p in TELEMETRY_PARTS if p in self.parts)
         return f"on ({parts})"
 
-    # --- slice/stall notes ----------------------------------------------
-    # Called from the engine only under a ``telemetry is not None`` guard.
-    # Drift is computed from raw neighbour/birth state rather than
+    # --- engine notes ----------------------------------------------------
+    # Subscribed to the machine's observation seam by ``observe``.  Drift
+    # is computed from raw neighbour/birth state rather than
     # ``fabric.floor()`` because the latter may trigger an exact-mode
     # shadow recompute — observation must never change *when* fabric
     # state mutates.
 
-    def _drift_ratio(self, fabric, cid):
+    def observe(self, machine) -> None:
+        """Subscribe the engine-level notes to ``machine.observers``."""
+        self._fabric = machine.fabric
+        self._cores = machine.cores
+        events = dict(
+            dispatched=self._note_action, emitted=self._note_inbox,
+            injected=self._note_inbox, stalled=self._note_stall,
+            slice_ended=self._note_slice, rescue=self._note_rescue)
+        if "profile" in self.parts:
+            # Only the sampling profiler reads ``phase``: the ``service``
+            # phase spans exactly a message handler.
+            events.update(serviced=self._note_serviced,
+                          handled=self._note_handled)
+        machine.subscribe(**events)
+
+    def _note_serviced(self, core, msg) -> None:
+        self.phase = "service"
+
+    def _note_handled(self, core, msg) -> None:
+        self.phase = "execute"
+
+    def _note_action(self, core, action) -> None:
+        self.phase = "execute"
+        self.actions[type(action)] += 1
+
+    def _note_inbox(self, msg) -> None:
+        inbox = self._cores[msg.dst].inbox
+        if inbox:  # empty only for a message shipped to another shard
+            self.inbox_hist.observe(len(inbox))
+
+    def _note_rescue(self) -> None:
+        self.phase = "rescue"
+        self.counters["engine.rescue_rounds"] += 1
+
+    def _note_drift(self, cid: int) -> None:
+        fabric = self._fabric
+        if not fabric.active[cid]:
+            return
         nbrs = fabric._neighbors[cid]
-        published = fabric.published
-        floor = min(map(published.__getitem__, nbrs)) if nbrs else _INF
+        floor = min(map(fabric.published.__getitem__, nbrs)) if nbrs else _INF
         births = fabric._births_min[cid]
         if births < floor:
             floor = births
-        if floor == _INF:
-            return None
-        return (fabric.vtime[cid] - floor) / fabric.T
+        if floor != _INF:
+            self.drift_hist.observe((fabric.vtime[cid] - floor) / fabric.T)
 
-    def note_slice(self, cid: int, fabric) -> None:
-        self.admits[cid] += 1
-        if fabric.active[cid]:
-            ratio = self._drift_ratio(fabric, cid)
-            if ratio is not None:
-                self.drift_hist.observe(ratio)
+    def _note_slice(self, core, progressed: bool) -> None:
+        self.phase = "execute"
+        # "Admitted" = the slice executed at least one unit.
+        if progressed:
+            self.admits[core.cid] += 1
+            self._note_drift(core.cid)
 
-    def note_stall(self, cid: int, fabric) -> None:
-        self.stalls[cid] += 1
-        if fabric.active[cid]:
-            ratio = self._drift_ratio(fabric, cid)
-            if ratio is not None:
-                self.drift_hist.observe(ratio)
+    def _note_stall(self, core) -> None:
+        self.stalls[core.cid] += 1
+        self._note_drift(core.cid)
 
     def snapshot(self) -> dict:
         snap = self.registry.snapshot()

@@ -118,7 +118,6 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
             roots.append((i, machine.seed_root(workload.root, (),
                                                spec.root_core)))
 
-    fabric = machine.fabric
     sanitizer = machine.sanitizer
     telemetry = machine.telemetry  # set by the builder when cfg.telemetry
     t_base = None  # wall-clock origin for this worker's host-round track
@@ -161,7 +160,7 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
                     for cid in owned:
                         v = adopt[cid]
                         if v != INF:
-                            fabric.adopt_shadow(cid, v + lift)
+                            machine.adopt_shadow(cid, v + lift)
                     # 1b. Proxies anchor at the stronger of the owning
                     # worker's published time (plane, previous parity)
                     # and the fixpoint value, plus the lift.
@@ -172,13 +171,13 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
                         if a != INF and (v == INF or a > v):
                             v = a
                         if v != INF:
-                            fabric.set_proxy_time(cid, v + lift)
+                            machine.set_proxy_time(cid, v + lift)
                 else:
                     pub_prev = board.published[prev]
                     for cid in proxies:
                         v = pub_prev[cid]
                         if v != INF:
-                            fabric.set_proxy_time(cid, v)
+                            machine.set_proxy_time(cid, v)
                 # 2. Drain last round's message batches.  Peers are
                 # visited in sorted order and each batch preserves the
                 # sender's emission order, so delivery is deterministic.

@@ -176,6 +176,20 @@ def test_golden_numbers(run):
     assert got == EXPECTED[key]
 
 
+#: Per-check sanitizer counts on the sanitized golden runs: moving an
+#: engine emission point must not make a check run more or less often.
+EXPECTED_CHECKS = {
+    "quicksort-shared-spatial-16": {
+        "causal-delivery": 738, "drift-admission": 805, "publish": 600,
+        "end-of-run": 1,
+    },
+    "connected_components-distributed-spatial-16": {
+        "causal-delivery": 3073, "drift-admission": 2325, "publish": 2147,
+        "end-of-run": 1,
+    },
+}
+
+
 @pytest.mark.parametrize(
     "run", [r for r in GOLDEN_RUNS if r[2] == "spatial"],
     ids=lambda r: "-".join(map(str, r[:4])))
@@ -183,10 +197,12 @@ def test_golden_numbers_sanitized_on_the_shipped_path(run):
     """``sanitize`` must not change which admission code runs: the floor
     cache stays armed, every cached-floor admission is re-validated
     against the reference ``fabric.drift_ok`` (the standing differential
-    test of the fast path), and the goldens do not move."""
+    test of the fast path), each check runs as often as pinned, and the
+    goldens do not move."""
     machine = golden_machine(*run, sanitize=True)
     assert machine.fabric._floor_cache_on
-    assert machine.sanitizer.checks["drift-admission"] > 0
+    assert dict(machine.sanitizer.checks) == \
+        EXPECTED_CHECKS["-".join(map(str, run[:4]))]
     assert _observables(machine.stats) == EXPECTED["-".join(map(str, run))]
 
 

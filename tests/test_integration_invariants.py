@@ -101,14 +101,10 @@ class TestPerSourceFifo:
         """A core processes each source's messages in send order."""
         machine = build_machine(shared_mesh(8))
         processed = []
-        original = machine._process_message
-
-        def process(core, msg):
-            processed.append((msg.src, core.cid, msg.seq, msg.arrival))
-            original(core, msg)
-
-        machine._process_message = process
+        machine.subscribe(serviced=lambda core, msg: processed.append(
+            (msg.src, core.cid, msg.seq, msg.arrival)))
         machine.run(recursive_root(6))
+        assert processed  # the loop below must have something to check
         last = {}
         for src, dst, seq, arrival in processed:
             key = (src, dst)

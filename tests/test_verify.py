@@ -123,28 +123,44 @@ class TestSanitizerCleanRuns:
 class TestSanitizerViolations:
     def test_drift_admission_cross_check_fires(self):
         machine = sanitized_machine()
-        fabric = machine.fabric
-        machine.begin_run()
-        core = machine.cores[0]
-        fabric.active[0] = True
         # Break the reference check while the policy's inlined fast path
-        # still admits: the cross-check must catch the disagreement.
-        fabric.drift_ok = lambda cid: False
+        # still admits: the first admission of an active core (core 0,
+        # once its root task started) must catch the disagreement.
+        machine.fabric.drift_ok = lambda cid: False
         with pytest.raises(SanitizerViolation) as exc_info:
-            machine.policy.may_run(core)
+            machine.run(fanout_root(4))
         assert exc_info.value.check == "drift-admission"
         assert exc_info.value.core == 0
         assert "neighbors" in exc_info.value.details["report"]
 
-    def test_waiver_slice_is_exempt_and_wrapper_survives(self):
-        machine = sanitized_machine()
+    def test_waiver_slice_is_exempt_and_next_admission_checked(self):
+        # Core 0's neighbour anchored at 0 with T = 1: the lone compute
+        # task drift-stalls, so every admission of it violates the rule.
+        machine = sanitized_machine(16, drift_bound=1.0)
+        machine.set_shard_scope({0}, lambda msg: None)
         machine.begin_run()
-        wrapper = machine.policy.__dict__["may_run"]
-        machine.run_shard_waiver()  # no work; swaps may_run internally
-        # run_shard_waiver deletes its own may_run override on exit; the
-        # sanitizer must reinstall its wrapper or all later admissions
-        # run unchecked.
-        assert machine.policy.__dict__["may_run"] is wrapper
+
+        def crunch(ctx):
+            for _ in range(200):  # outlives one forced slice
+                yield ctx.compute(1.0)
+
+        machine.seed_root(crunch, (), 0)
+        machine.set_proxy_time(1, 0.0)
+        machine.run_shard_round()
+        checks = machine.sanitizer.checks
+        admitted = checks["drift-admission"]
+        assert not machine.fabric.drift_ok(0)
+        stalled_at = machine.fabric.vtime[0]
+        # The forced slice runs the violating core, and is not checked.
+        assert machine.run_shard_waiver()
+        assert machine.fabric.vtime[0] > stalled_at
+        assert not machine.fabric.drift_ok(0)
+        assert checks["drift-admission"] == admitted
+        assert machine.stats.lock_waiver_runs == 1
+        # Once the proxy lets core 0 run, normal admissions are checked.
+        machine.set_proxy_time(1, 1e6)
+        assert machine.run_shard_round()
+        assert checks["drift-admission"] > admitted
 
     def test_inject_rejects_non_finite_times(self):
         from repro.core.messages import MsgKind
