@@ -218,23 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--cores", type=int, default=64)
     pol.add_argument("--scale", choices=tuple(SCALE_PARAMS), default="small")
     pol.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser(
-        "bench", help="run the hot-path perf suite (BENCH_engine.json)")
-    bench.add_argument("--output", default="BENCH_engine.json",
-                       help="where to write the JSON record ('' disables)")
-    bench.add_argument("--baseline", default=None,
-                       help="previous BENCH_engine.json to compute speedups "
-                            "against")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="best-of-N repetitions per benchmark")
-    bench.add_argument("--quick", action="store_true",
-                       help="shrunk problem sizes (CI smoke mode)")
-    bench.add_argument("--only", default=None,
-                       help="comma-separated subset of benchmark names")
-    bench.add_argument("--profile", action="store_true",
-                       help="run under cProfile and print the top-20 "
-                            "cumulative hot functions instead of timing")
     return parser
 
 
@@ -543,37 +526,6 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    from .harness import perfbench
-
-    if args.profile:
-        perfbench.profile_suite(quick=args.quick, top=20, out=out)
-        return 0
-    only = None
-    if args.only is not None:
-        only = tuple(x.strip() for x in args.only.split(",") if x.strip())
-        if not only:
-            print(f"error: --only {args.only!r} names no benchmarks; "
-                  f"choose from {sorted(perfbench.SUITE)}", file=sys.stderr)
-            return 2
-    if args.baseline and perfbench.load_record(args.baseline) is None:
-        print(f"warning: baseline {args.baseline} missing or unreadable; "
-              "no speedups will be reported", file=sys.stderr)
-    try:
-        perfbench.run_and_write(
-            output=args.output,
-            repeat=args.repeat,
-            quick=args.quick,
-            only=only,
-            baseline_path=args.baseline,
-            out=out,
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_obs(args, out) -> int:
     from .obs import load_metrics, summarize_metrics
 
@@ -666,8 +618,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _cmd_policies(args, out)
         if args.command == "obs":
             return _cmd_obs(args, out)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
         if args.command == "serve":
             return _cmd_serve(args, out)
     except BrokenPipeError:  # downstream pager/head closed; not an error

@@ -20,9 +20,11 @@ asserts:
     accuracy concession).
 ``publish``
     After every advance of a core's clock: an active core's published time
-    covers its virtual time, and published times never regress (fast
-    shadow mode publishes monotonically; a revoked permission could
-    wedge neighbours that already ran under it).
+    covers its virtual time, and published times never regress between
+    rescues (fast shadow mode publishes monotonically; a revoked
+    permission could wedge neighbours that already ran under it).  A
+    serial rescue recompute may lower a shadow to the exact fixpoint,
+    so the baseline restarts on every ``rescue`` event.
 ``causal-delivery`` / ``fifo-delivery``
     Every NoC arrival satisfies ``arrival >= depart + min_latency`` and
     arrivals on one directed ``(src, dst)`` channel never regress.
@@ -96,6 +98,7 @@ class Sanitizer:
         if machine.fabric.shadow_mode == "fast":
             # Exact mode recomputes shadows: no monotone promise.
             events["advanced"] = self._check_publish
+            events["rescue"] = self._restart_publish_baseline
         if getattr(policy, "ordered_inbox", False):
             events["serviced"] = self._check_ordered_inbox
         machine.subscribe(**events)
@@ -213,9 +216,15 @@ class Sanitizer:
                     f"core {core.cid} still runs {core.current!r} at end "
                     f"of run with no live tasks", core=core.cid)
 
+    def _restart_publish_baseline(self) -> None:
+        """A rescue recompute may *lower* fast-mode shadows to the exact
+        fixpoint (``fabric._full_recompute``), so the monotone promise
+        restarts at every rescue."""
+        self._pub_seen = [-_INF] * self.machine.n_cores
+
     def _check_publish(self, core) -> None:
         """After every advance: an active core's published time covers
-        its clock, and published times never regress."""
+        its clock, and published times never regress between rescues."""
         cid = core.cid
         self.checks["publish"] += 1
         fabric = self.machine.fabric

@@ -125,27 +125,6 @@ class TestSweep:
         assert "T=50" in text
 
 
-class TestBench:
-    def test_unknown_only_lists_names_and_fails(self, capsys):
-        code, _ = run_cli("bench", "--only", "engine_steps,bogus",
-                          "--output", "")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "bogus" in err
-        assert "fabric_refresh" in err  # valid names are listed
-
-    def test_empty_only_fails(self, capsys):
-        code, _ = run_cli("bench", "--only", ",", "--output", "")
-        assert code == 2
-        assert "names no benchmarks" in capsys.readouterr().err
-
-    def test_valid_only_subset_runs(self):
-        code, text = run_cli("bench", "--only", "fabric_refresh",
-                             "--quick", "--repeat", "1", "--output", "")
-        assert code == 0
-        assert "fabric_refresh" in text
-
-
 class TestPolicies:
     def test_policy_comparison(self):
         code, text = run_cli("policies", "octree", "--cores", "4",

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fabric import VirtualTimeFabric
-from repro.network.topology import mesh2d, ring
+from repro.core.fabric import VirtualTimeFabric, exact_shadow_fixpoint
+from repro.network.topology import (from_adjacency, mesh2d, ring,
+                                    square_mesh, torus2d)
 
 INF = math.inf
 
@@ -272,6 +273,41 @@ def test_exact_shadow_invariant_random_schedules(advances):
             ref[i] = min(ref[j] for j in nbrs) + 10.0
     for idle in (2, 3):
         assert published[idle] == pytest.approx(ref[idle])
+
+
+def _random_adjacency(n, seed):
+    """Symmetric 0/1 matrix, every core linked to one or two random
+    others: min degree >= 1, components possibly disconnected."""
+    rng = random.Random(seed)
+    mat = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in rng.sample([v for v in range(n) if v != u], rng.randint(1, 2)):
+            mat[u][v] = mat[v][u] = 1
+    return mat
+
+
+@pytest.mark.parametrize("share", [0.05, 0.5, 0.9], ids=["5pc", "50pc", "90pc"])
+@pytest.mark.parametrize("topo", [
+    square_mesh(64), square_mesh(256), square_mesh(1024), torus2d(8),
+    from_adjacency(_random_adjacency(96, 0)),
+], ids=["mesh64", "mesh256", "mesh1024", "torus8x8", "adjacency96"])
+def test_vectorized_recompute_matches_heap_fixpoint(topo, share):
+    """The vectorized ``_full_recompute`` (``np.minimum.reduceat``, taken
+    at >= 64 cores with no isolated core) and the heap
+    ``exact_shadow_fixpoint`` agree bit for bit (docs/internals.md §7).
+    Seeded vtimes come from a small set, so sources tie; T is not a
+    binary fraction, so per-hop accumulation order shows in the bits."""
+    n = topo.n_cores
+    rng = random.Random(n + int(share * 100))
+    T = 100.0 / 3.0
+    fabric = make_fabric(topo, T=T, mode="fast")
+    assert n >= 64 and fabric._min_degree >= 1  # the vectorized path
+    for c in rng.sample(range(n), max(1, int(n * share))):
+        fabric.set_active(c, rng.choice((0.0, 12.5, 99.9, 250.0, 1e3 / 7)))
+    fabric.refresh_shadows()
+    expected = exact_shadow_fixpoint(fabric._neighbors, fabric.active,
+                                     fabric.vtime, T)
+    assert list(fabric.published) == expected
 
 
 @pytest.mark.parametrize("shadow", [True, False], ids=["shadows", "bare"])
