@@ -100,22 +100,6 @@ class ArchConfig:
     # produces bit-identical results under either.
     backend: str = "serial"          # serial | sharded
     shards: int = 0                  # 0 = unfenced (single region)
-    #: Adaptive drift windows (sharded backend, spatial sync): the
-    #: coordinator widens the per-round window while no cross-shard
-    #: messages flow and shrinks it back to ``T`` on a traffic burst.
-    #: Quiet mesh regions then synchronize every ``window_max_factor*T``
-    #: cycles instead of every ``T``; the extra boundary drift this
-    #: admits is bounded by ``window_max_factor * T`` (see
-    #: docs/parallel.md for the determinism argument).
-    adaptive_window: bool = True
-    #: Upper bound on the adaptive window multiplier (>= 1; 1 disables
-    #: widening even when ``adaptive_window`` is set).
-    window_max_factor: float = 64.0
-    #: Max engine sub-rounds a worker may execute locally per
-    #: coordination round before re-synchronizing (>= 1; 1 restores
-    #: one-round-per-go lockstep).  Workers stop early the moment they
-    #: emit a boundary-crossing message.
-    round_batch: int = 16
 
     # Verification (repro.verify).  ``sanitize`` attaches the runtime
     # invariant checker to every machine the build produces (serial and
@@ -163,12 +147,6 @@ class ArchConfig:
             raise SimConfigError(
                 "the sharded backend needs shards >= 1 "
                 "(e.g. --shards 4)")
-        if self.window_max_factor < 1.0:
-            raise SimConfigError(
-                f"window_max_factor must be >= 1, got {self.window_max_factor}")
-        if self.round_batch < 1:
-            raise SimConfigError(
-                f"round_batch must be >= 1, got {self.round_batch}")
         # Everything below is what building a machine would reject:
         # the factories and EngineParams apply their own rules here, so
         # a spec they refuse fails at submission, never inside a worker.

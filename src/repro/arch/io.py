@@ -90,9 +90,8 @@ def config_field_names() -> frozenset:
 #:   golden numbers and trace digests are pinned bit-identical with them
 #:   on (``tests/test_obs.py``, ``tests/test_verify.py``).
 #:
-#: Everything else is semantic.  Note that ``backend``, ``shards``,
-#: ``round_batch``, ``adaptive_window`` and ``window_max_factor`` are
-#: deliberately *included*: shard fences change dispatch semantics, and
+#: Everything else is semantic.  Note that ``backend`` and ``shards``
+#: are deliberately *included*: shard fences change dispatch semantics, and
 #: for runs with cross-shard traffic the sharded trajectory may
 #: legitimately differ from serial (the fuzzer's two-tier conformance
 #: contract, docs/testing.md) — so they must separate cache entries.

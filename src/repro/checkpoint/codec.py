@@ -52,8 +52,10 @@ MAGIC = b"RPSNAP"
 #: the config, so an older file would otherwise fail
 #: ``ArchConfig(**config)`` with a TypeError instead of this error;
 #: 4: the captured ``columns`` lost ``inbox_len``, so a version-3 file
-#: would otherwise fail as a replay mismatch).
-CHECKPOINT_VERSION = 4
+#: would otherwise fail as a replay mismatch; 5: the three round-protocol
+#: settings left the config for constants, so a version-4 file would
+#: again fail ``ArchConfig(**config)`` with a TypeError).
+CHECKPOINT_VERSION = 5
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")

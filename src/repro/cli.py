@@ -97,14 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="partition the mesh into N contiguous shards "
                           "(fences dispatch/steal to stay in-shard; "
                           "required for --backend sharded)")
-    run.add_argument("--window-max", type=float, default=None,
-                     metavar="FACTOR",
-                     help="sharded backend: cap on the adaptive drift-"
-                          "window multiplier (1 disables widening; "
-                          "default 64)")
-    run.add_argument("--round-batch", type=int, default=None, metavar="N",
-                     help="sharded backend: max engine sub-rounds a worker "
-                          "runs per coordination round (default 16)")
     run.add_argument("--sanitize", action="store_true",
                      help="enable the runtime invariant sanitizer (drift "
                           "bound, causal delivery, publish monotonicity; "
@@ -272,12 +264,6 @@ def _make_config(args):
         raise SystemExit("--backend sharded requires --shards N "
                          "(e.g. --shards 4)")
     overrides = {}
-    if getattr(args, "window_max", None) is not None:
-        overrides["window_max_factor"] = args.window_max
-        if args.window_max <= 1.0:
-            overrides["adaptive_window"] = False
-    if getattr(args, "round_batch", None) is not None:
-        overrides["round_batch"] = args.round_batch
     if getattr(args, "sanitize", False):
         overrides["sanitize"] = True
     telemetry = getattr(args, "telemetry", None)

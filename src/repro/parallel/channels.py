@@ -50,6 +50,21 @@ from multiprocessing import shared_memory
 from ..core.fabric import INF
 from ..core.messages import Message, MsgKind
 
+# The round protocol's two fixed settings (docs/parallel.md, "Windows").
+# The coordinator, the worker and the sanitizer read them as attributes
+# of this module, so a test can swap in the lockstep protocol (1.0, 1)
+# in one place; fork workers inherit the swap.
+
+#: Cap on the adaptive window multiplier: it doubles after every round
+#: that ships no cross-shard message and resets to 1 on traffic.  A
+#: window ``w`` parks cores at ``global_min + w * T`` and grants a drift
+#: lift of ``(w - 1) * T``, so no lift may exceed
+#: ``(WINDOW_MAX_FACTOR - 1) * T`` (the sanitizer's ``window-lift``).
+WINDOW_MAX_FACTOR = 64.0
+#: Engine sub-rounds a worker runs per coordination round under spatial
+#: sync, stopping earlier at its first boundary-crossing message.
+ROUND_BATCH = 16
+
 
 def resolve_start_method() -> str:
     """How this host starts shard workers: ``fork`` where the platform

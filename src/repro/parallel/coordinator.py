@@ -17,7 +17,7 @@ and drives them through lockstep **coordination rounds** over a
    ``lift = (window - 1) * T`` is the extra drift permission the
    adaptive window grants (see below);
 2. workers adopt/anchor from the board, drain last round's
-   cross-shard USER-message batches, run up to ``cfg.round_batch``
+   cross-shard USER-message batches, run up to ``ROUND_BATCH``
    engine sub-rounds locally (stopping at the first boundary-crossing
    message), then publish boundary times and their (active, vtime)
    snapshot back to the board;
@@ -27,13 +27,14 @@ and drives them through lockstep **coordination rounds** over a
    board's gathered state (see :meth:`ShardedMachine._refresh_adopt_plane`
    for why this runs every round, and why workers adopt it raise-only).
 
-**Adaptive windows** (``cfg.adaptive_window``): while rounds ship no
+**Adaptive windows** (spatial sync): while rounds ship no
 cross-shard messages, the window multiplier doubles (up to
-``cfg.window_max_factor``) and collapses back to 1 on the first
+``WINDOW_MAX_FACTOR``; both constants live in
+:mod:`~repro.parallel.channels`) and collapses back to 1 on the first
 traffic burst — quiet regions synchronize every ``window * T`` cycles
 instead of every ``T``.  The matching ``lift`` raises boundary
 permissions by the same margin, so the extra drift this admits is
-bounded by ``window_max_factor * T`` and only ever *relaxes*
+bounded by ``WINDOW_MAX_FACTOR * T`` and only ever *relaxes*
 scheduling: virtual times of shard-closed fenced runs are unaffected,
 which is why bit-identity with serial is preserved (docs/parallel.md
 has the full argument).
@@ -67,6 +68,7 @@ from ..core.errors import (SanitizerViolation, SimConfigError, SimDeadlock,
 from ..core.fabric import INF, exact_shadow_fixpoint
 from ..core.stats import COUNTER_FIELDS, SimStats
 from ..obs.registry import ROUND_MS_BOUNDS, WINDOW_BOUNDS
+from . import channels
 from .channels import (SharedRoundBoard, make_edge_channels,
                        resolve_start_method)
 from .partition import Partition, contiguous_partition
@@ -281,8 +283,7 @@ class ShardedMachine:
         cfg = self.cfg
         spatial = cfg.sync == "spatial"
         T = cfg.drift_bound
-        adaptive = (spatial and cfg.adaptive_window
-                    and cfg.window_max_factor > 1.0)
+        window_max = channels.WINDOW_MAX_FACTOR
         # The window horizon protects round-stale proxies; a partition
         # without a boundary has none, and parking its cores would only
         # reorder the ready ring away from the serial run's.
@@ -392,13 +393,13 @@ class ShardedMachine:
                         self.events.append(
                             {"name": "relief",
                              "ts_s": time.perf_counter() - self._t0})
-            if adaptive:
+            if spatial:
                 # Quiet round: nothing crossed a boundary, so shards are
                 # provably independent up to the current permissions —
                 # widen the window to amortize the next barrier.  Any
                 # traffic collapses it back to the paper's T.
                 if sent_total == 0:
-                    window = min(window * 2.0, cfg.window_max_factor)
+                    window = min(window * 2.0, window_max)
                     if window > self.window_peak:
                         self.window_peak = window
                 else:
@@ -441,21 +442,20 @@ class ShardedMachine:
         Factored out so the sanitizer (coordinator-side ``_check_lift``,
         worker-side ``Sanitizer.begin_round``) guards a single
         definition of the protocol invariant
-        ``0 <= lift <= (window_max_factor - 1) * T``."""
+        ``0 <= lift <= (WINDOW_MAX_FACTOR - 1) * T``."""
         return (window - 1.0) * self.cfg.drift_bound
 
     def _check_lift(self, lift: float) -> None:
-        cfg = self.cfg
-        bound = (cfg.window_max_factor - 1.0) * cfg.drift_bound
+        T = self.cfg.drift_bound
+        window_max = channels.WINDOW_MAX_FACTOR
+        bound = (window_max - 1.0) * T
         if not -1e-9 <= lift <= bound * (1.0 + 1e-12) + 1e-9:
             raise SanitizerViolation(
                 "window-lift",
                 f"coordinator would grant drift lift {lift!r} outside "
-                f"[0, {bound!r}] (window_max_factor="
-                f"{cfg.window_max_factor:g}, T={cfg.drift_bound:g})",
+                f"[0, {bound!r}] (window cap x{window_max:g}, T={T:g})",
                 bound=bound,
-                details={"lift": lift,
-                         "window_max_factor": cfg.window_max_factor})
+                details={"lift": lift, "window_max": window_max})
 
     def _refresh_adopt_plane(self) -> None:
         """Per-round exact shadow fixpoint from the board's global
@@ -639,11 +639,9 @@ class ShardedMachine:
     def describe(self) -> str:
         """One-line backend summary (CLI banner)."""
         cfg = self.cfg
-        extras = f"batch={cfg.round_batch}"
-        if cfg.adaptive_window and cfg.sync == "spatial":
-            extras += f", window<=x{cfg.window_max_factor:g}"
+        extras = ""
         if self.telemetry is not None:
-            extras += f", telemetry {self.telemetry.describe()}"
+            extras = f", telemetry {self.telemetry.describe()}"
         return (f"sharded backend: {self.partition.describe()}, "
-                f"sync={cfg.sync} T={cfg.drift_bound}, {extras}, "
+                f"sync={cfg.sync} T={cfg.drift_bound}{extras}, "
                 f"start={resolve_start_method()}")

@@ -23,7 +23,7 @@ control pipe:
        round (the board's count matrix says which pipes to touch).
     3. When ``waive`` is set (coordinator escalation after a stalled
        relief round), force one slice on the earliest owned core
-       (``run_shard_waiver``).  Then run up to ``cfg.round_batch``
+       (``run_shard_waiver``).  Then run up to ``ROUND_BATCH``
        engine sub-rounds, re-running the *scoped* exact shadow fixpoint
        (``Machine.refresh_shard_shadows``) between sub-rounds so
        shadows frozen mid-batch keep moving — and stopping the moment a
@@ -57,6 +57,7 @@ from ..arch.builder import build_machine
 from ..core.errors import SanitizerViolation, ShardBoundaryError
 from ..core.fabric import INF
 from ..core.messages import Message, MsgKind
+from . import channels
 from .channels import SharedRoundBoard, decode_batch, encode_batch
 
 
@@ -129,7 +130,7 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
     spatial = cfg.sync == "spatial"
     # Sub-round batching only pays under spatial sync: the unbounded
     # policy gates nothing, so one run to quiescence is already maximal.
-    batch_cap = cfg.round_batch if spatial else 1
+    batch_cap = channels.ROUND_BATCH if spatial else 1
     # Plane publication (step 4) is a pure float64 gather/scatter from
     # the machine's struct-of-arrays plane into the shared board.
     soa = machine.soa
@@ -149,7 +150,7 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
                     t_base = t0
                 _, horizon, lift, waive = cmd
                 if sanitizer is not None:
-                    sanitizer.begin_round(lift, cfg.window_max_factor)
+                    sanitizer.begin_round(lift)
                 prev = (round_no - 1) & 1
                 cur = round_no & 1
                 # 1a. Owned idle cores adopt the coordinator fixpoint

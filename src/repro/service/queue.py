@@ -43,7 +43,6 @@ import os
 import queue as _queue
 import threading
 import time
-import traceback
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
@@ -101,7 +100,7 @@ class Job:
         self._done = threading.Event()
 
     # -- transitions (queue-internal) ------------------------------------
-    def _start(self, backend_holder: Any = None) -> None:
+    def _start(self) -> None:
         with self._lock:
             self.state = "running"
             self.started_at = time.time()
@@ -362,7 +361,6 @@ class JobQueue:
             # so a client observing the terminal state always sees it.
             if self._checkpoint_on_disk(job):
                 job.resumable = True
-            job.trace = traceback.format_exc()
             if job._fail(type(exc).__name__, str(exc) or repr(exc)):
                 self.registry.counters["service.failures"] += 1
                 self.registry.counters[

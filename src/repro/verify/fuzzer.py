@@ -1,10 +1,11 @@
 """Differential serial-vs-sharded conformance fuzzer.
 
 ``python -m repro fuzz`` generates seeded random cases — mesh size,
-drift bound, shard count, adaptive-window and batching knobs, sync
-policy, and a random mix of workload roots — and runs each case under
-both execution backends with the sanitizer on, comparing canonical
-trace digests, merged stats and workload results.
+drift bound, shard count, sync policy, and a random mix of workload
+roots — and runs each case under both execution backends with the
+sanitizer on, comparing canonical trace digests, merged stats and
+workload results.  The sharded leg runs the round protocol that ships
+(its window cap and sub-round batch are constants, not case fields).
 
 Two conformance contracts are checked, mirroring docs/parallel.md:
 
@@ -23,8 +24,8 @@ Two conformance contracts are checked, mirroring docs/parallel.md:
   is measured, not only documented.
 
 On a mismatch the fuzzer greedily shrinks the case (dropping
-workloads, collapsing the window and batching knobs) while the failure
-reproduces, then prints a one-line reproducer::
+workloads) while the failure reproduces, then prints a one-line
+reproducer::
 
     python -m repro fuzz --case '<json>'
 
@@ -39,14 +40,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 _BENCHMARKS = ("quicksort", "dijkstra", "spmxv")
 _MESHES = (9, 12, 16, 20, 25)
 _DRIFTS = (5.0, 20.0, 100.0, 1e9)
-_WINDOW_MAX = (1.0, 4.0, 64.0)
-_ROUND_BATCH = (1, 4, 16)
 #: Snapshot mode splits a run at this share of its completion time.
 _SPLIT_SHARE = (0.2, 0.8)
 
@@ -60,8 +60,6 @@ class FuzzCase:
     shards: int = 2
     drift_bound: float = 100.0
     sync: str = "spatial"
-    window_max_factor: float = 64.0
-    round_batch: int = 16
     #: WorkloadSpec keyword dicts (picklable / JSON-able).
     workloads: List[Dict] = field(default_factory=list)
 
@@ -70,7 +68,22 @@ class FuzzCase:
 
     @classmethod
     def from_json(cls, text: str) -> "FuzzCase":
-        return cls(**json.loads(text))
+        """Parse a reproducer.  ``ValueError`` says what is wrong with
+        one that is not JSON, not an object, or names a field this
+        version has no use for."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"case is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError("case must be a JSON object")
+        known = [f.name for f in dataclasses.fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"case has unknown field(s) "
+                             f"{', '.join(unknown)}; known: "
+                             f"{', '.join(known)}")
+        return cls(**data)
 
     def specs(self):
         from ..parallel import WorkloadSpec
@@ -86,9 +99,6 @@ class FuzzCase:
             shards=self.shards,
             sync=self.sync,
             drift_bound=self.drift_bound,
-            adaptive_window=self.window_max_factor > 1.0,
-            window_max_factor=self.window_max_factor,
-            round_batch=self.round_batch,
             sanitize=sanitize,
             collect_trace=True,
             seed=self.seed & 0x7FFFFFFF,
@@ -97,9 +107,7 @@ class FuzzCase:
     def describe(self) -> str:
         return (f"seed={self.seed} mesh={self.n_cores} "
                 f"shards={self.shards} T={self.drift_bound:g} "
-                f"sync={self.sync} window<=x{self.window_max_factor:g} "
-                f"batch={self.round_batch} "
-                f"workloads={len(self.workloads)}")
+                f"sync={self.sync} workloads={len(self.workloads)}")
 
 
 def generate_case(rng: random.Random, seed: int = 0) -> FuzzCase:
@@ -126,9 +134,12 @@ def generate_case(rng: random.Random, seed: int = 0) -> FuzzCase:
         shards=shards,
         drift_bound=rng.choice(_DRIFTS),
         sync="spatial" if rng.random() < 0.8 else "unbounded",
-        window_max_factor=rng.choice(_WINDOW_MAX),
-        round_batch=rng.choice(_ROUND_BATCH),
     )
+    # Two draws that once picked a window cap and a sub-round batch (now
+    # fixed constants of the round protocol), discarded so that every
+    # seed still names the case it always has.
+    rng.randrange(3)
+    rng.randrange(3)
     workloads: List[Dict] = []
     for sid in range(shards):
         owned = list(part.cores_of(sid))
@@ -361,11 +372,6 @@ def shrink_case(case: FuzzCase, sanitize: bool = True,
             if trimmed:
                 candidates.append(
                     dataclasses.replace(current, workloads=trimmed))
-        if current.round_batch > 1:
-            candidates.append(dataclasses.replace(current, round_batch=1))
-        if current.window_max_factor > 1.0:
-            candidates.append(
-                dataclasses.replace(current, window_max_factor=1.0))
         for candidate in candidates:
             if budget <= 0:
                 break
@@ -386,7 +392,11 @@ def fuzz_main(cases: int, seed: int, sanitize: bool,
     runner = run_snapshot_case if snapshot else run_case
     repro_flag = " --snapshot" if snapshot else ""
     if case_json is not None:
-        case = FuzzCase.from_json(case_json)
+        try:
+            case = FuzzCase.from_json(case_json)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         ok, report = runner(case, sanitize)
         print(f"case {case.describe()}", file=out)
         _print_report(ok, report, out)

@@ -39,7 +39,8 @@ asserts:
 ``window-lift``
     The sharded round protocol's lift must stay within the grant the
     adaptive window is allowed to make:
-    ``0 <= lift <= (window_max_factor - 1) * T``.  Checked per round on
+    ``0 <= lift <= (WINDOW_MAX_FACTOR - 1) * T``
+    (:mod:`repro.parallel.channels`).  Checked per round on
     the worker (:meth:`Sanitizer.begin_round`) and by the coordinator
     before each broadcast.
 ``proxy`` / ``adopt``
@@ -247,23 +248,25 @@ class Sanitizer:
                 self._pub_seen[cid] = pub
 
     # -- sharded round protocol -------------------------------------------
-    def begin_round(self, lift: float, window_max_factor: float) -> None:
+    def begin_round(self, lift: float) -> None:
         """Validate one coordination round's window lift (worker side).
 
         The adaptive window may grant at most
-        ``(window_max_factor - 1) * T`` of extra drift permission; a
+        ``(WINDOW_MAX_FACTOR - 1) * T`` of extra drift permission; a
         lift beyond that (or a negative one) means the coordinator's
         window arithmetic is broken and every drift check this round
         would silently run under wrong permissions.
         """
+        from ..parallel import channels
+
         self.checks["window-lift"] += 1
         T = self.machine.fabric.T
-        bound = (window_max_factor - 1.0) * T
+        window_max = channels.WINDOW_MAX_FACTOR
+        bound = (window_max - 1.0) * T
         if lift < -_EPS or lift > bound * (1.0 + 1e-12) + _EPS:
             self._violate(
                 "window-lift",
                 f"round lift {lift:g} outside [0, {bound:g}] "
-                f"(window_max_factor {window_max_factor:g}, T {T:g})",
-                bound=bound, lift=lift,
-                window_max_factor=window_max_factor)
+                f"(window cap x{window_max:g}, T {T:g})",
+                bound=bound, lift=lift, window_max=window_max)
         self.lift = lift

@@ -22,6 +22,12 @@ CORPUS = range(1500)
 #: Seeds whose strict-tier serial-vs-sharded comparison is known to
 #: fail, with the diagnosis (ROADMAP item 1 has the full table).
 KNOWN_DIVERGENCES = {
+    136: "four shards on a 25-core mesh at T = 5, shard-closed, zero "
+         "drift stalls on both sides, trace digest differs: the same "
+         "window-parking class as 722 — it fails at window caps 64 and "
+         "4 and at sub-round batches 1, 4 and 16, passes under the "
+         "lockstep window (cap 1), and passes once the window horizon "
+         "is dropped",
     722: "two shards, shard-closed, zero drift stalls on both sides, "
          "trace digest differs: window parking re-queues a core popped "
          "past the horizon at a different ring position next round, so "
@@ -51,7 +57,7 @@ def main() -> int:
               f"'{case_for(seed).to_json()}'")
     for seed in sorted(known - failing):
         print(f"seed {seed} now passes: remove it from KNOWN_DIVERGENCES "
-              f"and its xfail from tests/test_verify.py")
+              f"(tests/test_verify.py pins each entry as a strict xfail)")
     return 0 if failing == known else 1
 
 

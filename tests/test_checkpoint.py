@@ -197,9 +197,10 @@ class TestOlderSnapshotsAreRefused:
     and the config carried ``worker_start_method``; neither may reach
     ``ArchConfig(**config)`` or be replayed as if it were a virtual
     time.  A version-3 capture still holds the ``inbox_len`` column and
-    must be a version error, not a replay mismatch."""
+    must be a version error, not a replay mismatch; a version-4 config
+    still names the three retired round-protocol settings."""
 
-    @pytest.mark.parametrize("old", [2, 3])
+    @pytest.mark.parametrize("old", [2, 3, 4])
     def test_older_file_is_a_version_error(self, old, tmp_path):
         import struct
 
@@ -207,7 +208,7 @@ class TestOlderSnapshotsAreRefused:
                                       CheckpointVersionError)
         from repro.checkpoint.codec import MAGIC
 
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         snap, _, _ = split_run(serial_cfg(), QUICKSORT, 2000.0)
         path = str(tmp_path / "old.ckpt")
         save_snapshot(snap, path)

@@ -18,6 +18,7 @@ import traceback
 
 import pytest
 
+import repro.parallel.channels as channels
 import repro.parallel.coordinator as coordinator
 from repro.arch import build_backend, shared_mesh
 from repro.core.errors import SimDeadlock, SimError
@@ -75,9 +76,10 @@ def scripted_worker(script):
 
 def stub_backend(monkeypatch, script, **overrides):
     monkeypatch.setattr(coordinator, "worker_main", scripted_worker(script))
+    # Lockstep window: the scripted rounds ship no lift.
+    monkeypatch.setattr(channels, "WINDOW_MAX_FACTOR", 1.0)
     cfg = dataclasses.replace(
-        shared_mesh(8), backend="sharded", shards=1,
-        adaptive_window=False, **overrides)
+        shared_mesh(8), backend="sharded", shards=1, **overrides)
     return build_backend(cfg)
 
 

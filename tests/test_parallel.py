@@ -18,7 +18,8 @@ from repro.core.errors import SimConfigError, SimError
 from repro.core.fabric import INF, VirtualTimeFabric, exact_shadow_fixpoint
 from repro.core.messages import Message, MsgKind
 from repro.network.topology import Topology, mesh2d, square_mesh
-from repro.parallel import Partition, ShardedMachine, WorkloadSpec, contiguous_partition
+from repro.parallel import (Partition, ShardedMachine, WorkloadSpec,
+                            channels, contiguous_partition)
 from repro.parallel.channels import (
     SharedRoundBoard,
     decode_batch,
@@ -130,16 +131,6 @@ def test_config_validates_backend_and_shards():
         ArchConfig(n_cores=8, shards=9)
     with pytest.raises(SimConfigError):
         ArchConfig(backend="sharded", shards=0)
-
-
-def test_config_validates_round_protocol_knobs():
-    with pytest.raises(SimConfigError, match="window_max_factor"):
-        ArchConfig(window_max_factor=0.5)
-    with pytest.raises(SimConfigError, match="round_batch"):
-        ArchConfig(round_batch=0)
-    # Boundary values are legal: factor 1 / batch 1 restore lockstep.
-    cfg = ArchConfig(window_max_factor=1.0, round_batch=1)
-    assert cfg.window_max_factor == 1.0 and cfg.round_batch == 1
 
 
 def test_resolve_start_method():
@@ -434,12 +425,14 @@ def test_single_shard_degenerates_to_serial():
     assert backend.protocol["rounds"] <= 5
 
 
-def test_adaptive_window_widens_on_quiet_mesh():
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the lockstep leg's patch must reach the workers")
+def test_adaptive_window_widens_on_quiet_mesh(monkeypatch):
     # A quiet mesh (no cross-shard messages) under a tight drift bound:
     # the window must widen past 1x, ship zero boundary bytes, and
-    # finish in far fewer rounds than the lockstep protocol
-    # (window_max_factor 1, round_batch 1) while computing the same
-    # outputs.  Timings may legitimately differ here — the window lift
+    # finish in far fewer rounds than the lockstep protocol (window cap
+    # 1, one sub-round per round; fork workers inherit the patch) while
+    # computing the same outputs.  Timings may legitimately differ here — the window lift
     # relaxes drift stalls, which is the whole point; exact bit-identity
     # is only claimed for decoupled runs (see the sweep below and
     # test_golden_numbers.py).
@@ -454,8 +447,9 @@ def test_adaptive_window_widens_on_quiet_mesh():
     assert adaptive.protocol["window_peak"] > 1.0
     assert adaptive.protocol["bytes_shipped"] == 0
 
-    lockstep = build_backend(dataclasses.replace(
-        cfg, adaptive_window=False, round_batch=1))
+    monkeypatch.setattr(channels, "WINDOW_MAX_FACTOR", 1.0)
+    monkeypatch.setattr(channels, "ROUND_BATCH", 1)
+    lockstep = build_backend(cfg)
     lockstep_results = lockstep.run_workloads(specs)
     assert lockstep.protocol["window_peak"] == 1.0
     assert (lockstep_results[0]["output"]
@@ -514,8 +508,8 @@ def test_worker_start_methods_agree(monkeypatch):
 # Decoupled fenced configurations (drift bound far above the makespan)
 # must be *bit-identical* between the serial and sharded backends — the
 # golden matrix pins two such configurations; this sweep samples many
-# more topologies, seeds and drift bounds, always through the default
-# adaptive-window + sub-round-batching path.  Small drift bounds
+# more topologies, seeds and drift bounds, always through the shipped
+# adaptive-window + sub-round-batching protocol.  Small drift bounds
 # exercise the stall/rescue/waiver ladder, where the contract weakens to
 # run-to-run determinism plus verified outputs.
 
@@ -564,8 +558,7 @@ def test_randomized_small_drift_sweep_is_deterministic():
     for _ in range(2):
         seed = rng.randrange(1000)
         cfg = _sharded_cfg(
-            sync="spatial", drift_bound=rng.choice((5.0, 25.0, 100.0)),
-            window_max_factor=float(rng.choice((8.0, 64.0))))
+            sync="spatial", drift_bound=rng.choice((5.0, 25.0, 100.0)))
         specs = [
             WorkloadSpec("quicksort", scale="tiny", seed=seed, root_core=0),
             WorkloadSpec("", root_core=12,

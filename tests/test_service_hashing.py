@@ -38,13 +38,15 @@ class TestConfigIdentity:
             fields - NON_SEMANTIC_FIELDS
 
     def test_hashes_survive_non_semantic_field_removal(self):
-        """Literal pins taken before the kernel-selection and inbox-toggle
-        fields (both non-semantic) left ArchConfig: dropping a
-        non-semantic field must not orphan any on-disk result store."""
+        """Literal pins: dropping a non-semantic field (as the
+        kernel-selection and inbox-toggle fields were) must not orphan
+        any on-disk result store.  Removing a semantic field does move
+        them — they were re-taken when the round protocol's window and
+        batch settings left ArchConfig, so an older store re-simulates."""
         assert config_content_hash(shared_mesh(64)) == (
-            "3101d502904c06e7aaf138175a464ecfeb8df51181b6b9ace3eb5559aca72037")
+            "6b702a433bed2fe4cc35d00f537473e856f83c0427c28343f6726053b93c36cc")
         assert config_content_hash(dist_mesh(64)) == (
-            "09e926dfe8c2d017d059bf30da2e4b9ff10bf9fdc2f022902f421f22492c9410")
+            "9b2a3be009be91b9ad0a6ee588dcb64450d020e15c1bac22137a3840935c39ab")
 
     def test_label_is_not_semantic(self):
         a = shared_mesh(16)
@@ -69,9 +71,6 @@ class TestConfigIdentity:
         ("shards", 4),
         ("dispatch", "random"),
         ("seed", 7),
-        ("round_batch", 1),
-        ("adaptive_window", False),
-        ("window_max_factor", 2.0),
         ("work_stealing", True),
     ])
     def test_semantic_fields_change_hash(self, field, value):
@@ -200,9 +199,11 @@ class TestSpecValidation:
                                    "arch": arch},
                           "axes": {"workload.seed": [0]}})
 
-    #: The two retired ArchConfig fields, spelled in pieces so a
-    #: tree-wide grep for the old names stays empty.
-    RETIRED_FIELDS = ("engine" "_kernel", "inbox" "_heap")
+    #: Retired ArchConfig fields, spelled in pieces so a tree-wide grep
+    #: for the old names stays empty.
+    RETIRED_FIELDS = ("engine" "_kernel", "inbox" "_heap",
+                      "adaptive" "_window", "window" "_max_factor",
+                      "round" "_batch")
 
     @pytest.mark.parametrize("field", RETIRED_FIELDS)
     def test_retired_fields_are_unknown_not_type_errors(self, field):

@@ -22,7 +22,7 @@ import pytest
 from repro.arch import build_backend, build_machine, shared_mesh
 from repro.core.errors import SanitizerViolation
 from repro.harness.trace import Tracer, trace_digest
-from repro.parallel import WorkloadSpec
+from repro.parallel import WorkloadSpec, channels
 from repro.parallel.coordinator import ShardedMachine
 from repro.verify.fuzzer import FuzzCase, generate_case, run_case
 from repro.workloads import get_workload
@@ -93,10 +93,10 @@ class TestSanitizerCleanRuns:
         admissions = multiprocessing.get_context("fork").Array("q", 2)
         begin_round = Sanitizer.begin_round
 
-        def recording_begin_round(self, lift, window_max_factor):
+        def recording_begin_round(self, lift):
             shard = 0 if 0 in self.machine._owned else 1
             admissions[shard] = self.checks["drift-admission"]
-            begin_round(self, lift, window_max_factor)
+            begin_round(self, lift)
 
         monkeypatch.setattr(Sanitizer, "begin_round", recording_begin_round)
         specs = [WorkloadSpec("quicksort", scale="tiny", root_core=0),
@@ -205,20 +205,23 @@ class TestSanitizerViolations:
     def test_begin_round_accepts_lift_within_grant(self):
         machine = sanitized_machine()
         T = machine.fabric.T
-        machine.sanitizer.begin_round(0.0, 1.0)
-        machine.sanitizer.begin_round(63.0 * T, 64.0)
+        assert channels.WINDOW_MAX_FACTOR == 64.0
+        machine.sanitizer.begin_round(0.0)
+        machine.sanitizer.begin_round(63.0 * T)
         assert machine.sanitizer.lift == 63.0 * T
 
     @pytest.mark.parametrize("lift_factor, wmax", [
-        (1.0, 1.0),     # any positive lift with widening disabled
+        (1.0, 1.0),     # any positive lift under the lockstep protocol
         (64.0, 64.0),   # one step beyond the (wmax - 1) * T grant
         (-0.5, 4.0),    # negative lift revokes permission
     ])
-    def test_begin_round_rejects_excess_lift(self, lift_factor, wmax):
+    def test_begin_round_rejects_excess_lift(self, lift_factor, wmax,
+                                             monkeypatch):
+        monkeypatch.setattr(channels, "WINDOW_MAX_FACTOR", wmax)
         machine = sanitized_machine()
         T = machine.fabric.T
         with pytest.raises(SanitizerViolation) as exc_info:
-            machine.sanitizer.begin_round(lift_factor * T, wmax)
+            machine.sanitizer.begin_round(lift_factor * T)
         assert exc_info.value.check == "window-lift"
 
 
@@ -227,7 +230,7 @@ class TestSanitizerViolations:
 def _mutate_window_lift(monkeypatch):
     """The deliberately injected drift-bound bug: the coordinator grants
     ``window * T`` of extra permission instead of ``(window - 1) * T``,
-    i.e. a constant surplus T even when widening is disabled."""
+    i.e. a constant surplus T at every window size."""
     monkeypatch.setattr(
         ShardedMachine, "_window_lift",
         lambda self, window: window * self.cfg.drift_bound)
@@ -236,11 +239,15 @@ def _mutate_window_lift(monkeypatch):
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork workers")
 class TestInjectedWindowLiftBug:
     def test_sanitizer_catches_the_mutation(self, monkeypatch):
+        # The surplus T breaks the grant only once the window sits at its
+        # cap, which the shipped protocol reaches late or never on a
+        # short run; under lockstep (cap 1) the first round violates.
         _mutate_window_lift(monkeypatch)
+        monkeypatch.setattr(channels, "WINDOW_MAX_FACTOR", 1.0)
+        monkeypatch.setattr(channels, "ROUND_BATCH", 1)
         cfg = dataclasses.replace(
             shared_mesh(8), backend="sharded", shards=2, sanitize=True,
-            drift_bound=5.0, adaptive_window=False, window_max_factor=1.0,
-            round_batch=1)
+            drift_bound=5.0)
         backend = build_backend(cfg)
         with pytest.raises(SanitizerViolation) as exc_info:
             backend.run_workloads(
@@ -350,9 +357,11 @@ class TestFuzzer:
         assert "deviation" in report  # measured, not only documented
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork workers")
-    @pytest.mark.xfail(strict=True, reason=KNOWN_DIVERGENCES[722])
-    def test_seed_722_the_one_known_strict_divergence(self):
-        ok, report = run_case(case_for(722))
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=why))
+        for seed, why in sorted(KNOWN_DIVERGENCES.items())])
+    def test_known_strict_divergence(self, seed):
+        ok, report = run_case(case_for(seed))
         assert ok, report
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork workers")
@@ -372,6 +381,26 @@ class TestFuzzer:
         out = io.StringIO()
         assert main(["fuzz", "--case", case.to_json()], out=out) == 0
         assert "ok" in out.getvalue()
+
+    @pytest.mark.parametrize("text, fragment", [
+        # As printed before the window cap and the sub-round batch became
+        # constants of the round protocol.
+        ('{"drift_bound": 100.0, "n_cores": 9, "round_batch": 16, '
+         '"seed": 2, "shards": 1, "sync": "spatial", '
+         '"window_max_factor": 64.0, "workloads": []}',
+         "unknown field(s) round_batch, window_max_factor"),
+        ("{'seed': 2}", "not valid JSON"),
+        ("[2]", "JSON object"),
+    ])
+    def test_cli_fuzz_rejects_a_bad_reproducer(self, text, fragment,
+                                               capsys):
+        from repro.cli import main
+
+        out = io.StringIO()
+        assert main(["fuzz", "--case", text], out=out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert err.count("\n") == 1 and out.getvalue() == ""
 
     def test_cli_run_sanitize_flag(self):
         from repro.cli import main
