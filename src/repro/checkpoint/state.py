@@ -151,15 +151,21 @@ def _capture_core(core) -> Dict[str, Any]:
         "lax_ref": _raw(core.lax_ref),
         "lax_next_check": _raw(core.lax_next_check),
     }
-    predictor = core.annotator.predictor
-    if predictor is not None:
-        rng = predictor._rng
-        out["predictor"] = {
-            "predictions": predictor.predictions,
-            "mispredictions": predictor.mispredictions,
-            "rng": _freeze_bitgen_state(rng.bit_generator.state)
-            if rng is not None else None,
-        }
+    annotator = core.annotator
+    if annotator is None:
+        # Built at the core's first task start; until then its
+        # predictor is the fresh one it will be built as.
+        out["predictor"] = {"predictions": 0, "mispredictions": 0,
+                            "rng": None}
+        return out
+    predictor = annotator.predictor
+    rng = predictor._rng
+    out["predictor"] = {
+        "predictions": predictor.predictions,
+        "mispredictions": predictor.mispredictions,
+        "rng": _freeze_bitgen_state(rng.bit_generator.state)
+        if rng is not None else None,
+    }
     return out
 
 
@@ -193,6 +199,7 @@ def restore_bitgen_state(frozen: Any) -> Any:
 
 def _capture_fabric(fabric) -> Dict[str, Any]:
     births = [sorted((float(t), int(n)) for t, n in per_core.items())
+              if per_core is not None else []
               for per_core in fabric._births]
     return {
         "max_vtime": _raw(fabric.max_vtime),
@@ -210,8 +217,10 @@ def _capture_runtime(runtime) -> Dict[str, Any]:
     finishes = sorted((_raw(t), core)
                       for t, core in runtime._group_last_finish.values())
     return {
-        "proxy": [sorted((n, occ) for n, occ in proxies.items())
-                  for proxies in runtime._proxy],
+        # A core's proxy map is built at its first use, all zeros.
+        "proxy": [sorted(proxies.items()) if proxies is not None
+                  else [(n, 0) for n in sorted(runtime._neighbors[cid])]
+                  for cid, proxies in enumerate(runtime._proxy)],
         "cursor": list(runtime._cursor),
         "last_broadcast": list(runtime._last_broadcast),
         "steal_pending": [bool(b) for b in runtime._steal_pending],

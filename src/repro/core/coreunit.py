@@ -15,6 +15,14 @@ an O(n) scan.  The two structures stay coherent through tombstones: a
 message popped from either side is marked ``consumed`` and lazily purged
 from the other.  The deque's front is never a tombstone, so its truthiness
 (``has_work``) stays exact.
+
+A core owns none of these containers until it needs one: each slot
+starts as :data:`ABSENT`, the shared empty tuple, and the first push
+creates the real container (the first task, the first message).  Most
+cores of a large machine never work, so memory follows the cores that
+do.  ``ABSENT`` is falsy, has length 0 and iterates empty like the
+container it stands for, so readers need no branch and a snapshot
+captures it as the same empty list; only pushes test for it.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from .task import Task
 from ..timing.annotator import BlockAnnotator
 
 _INF = float("inf")
+
+#: Placeholder of a per-core container not created yet (see above).
+ABSENT: tuple = ()
 
 
 def _plane_scalar(column: str, doc: str) -> property:
@@ -56,7 +67,10 @@ class CoreUnit:
     flags, last processed arrival) live in the machine-wide
     :class:`~repro.core.soa.CoreStateArrays` plane; this object is a
     thin view over its ``cid`` slot plus the genuinely per-core
-    containers (task queue, inbox, mailbox) the cold paths use.
+    containers (task queue, inbox, mailbox) the cold paths use.  Those
+    containers and the block annotator are created at the core's first
+    push and first task start; until then they are :data:`ABSENT` and
+    ``None``.
     """
 
     __slots__ = (
@@ -86,7 +100,6 @@ class CoreUnit:
     def __init__(
         self,
         cid: int,
-        annotator: BlockAnnotator,
         speed_factor: float = 1.0,
         soa: Optional[CoreStateArrays] = None,
     ) -> None:
@@ -94,17 +107,18 @@ class CoreUnit:
             raise ValueError("speed factor must be positive")
         self.cid = cid
         self.speed_factor = speed_factor
-        self.annotator = annotator
+        #: Built by the engine at the core's first task start.
+        self.annotator: Optional[BlockAnnotator] = None
         # Standalone construction (unit tests) gets a private plane.
         self._soa = soa if soa is not None \
             else CoreStateArrays(cid + 1, [()] * (cid + 1))
-        self.queue: Deque[Task] = deque()
-        self.inbox: Deque[Message] = deque()
+        self.queue: Deque[Task] = ABSENT
+        self.inbox: Deque[Message] = ABSENT
         self.current: Optional[Task] = None
         self.reserved_slots = 0
         self.locks_held = 0
-        self.user_mailbox: Deque[Message] = deque()
-        self.recv_waiters: List[Tuple[Task, object]] = []
+        self.user_mailbox: Deque[Message] = ABSENT
+        self.recv_waiters: List[Tuple[Task, object]] = ABSENT
         # LaxP2P bookkeeping (used only under that policy).
         self.lax_ref: Optional[int] = None
         self.lax_next_check = 0.0
@@ -113,15 +127,42 @@ class CoreUnit:
         #: only ever pop host-order (spatial, unbounded) skip the heap
         #: entirely.
         self.track_arrivals = False
-        self._arrival_heap: List[Tuple[float, int, Message]] = []
+        self._arrival_heap: List[Tuple[float, int, Message]] = ABSENT
+
+    # -- first pushes --------------------------------------------------------
+    def enqueue(self, task: Task) -> None:
+        """Append a ready task to the queue (created by the first one)."""
+        queue = self.queue
+        if queue is ABSENT:
+            queue = self.queue = deque()
+        queue.append(task)
+
+    def park_user_message(self, msg: Message) -> None:
+        """Keep a USER message no receiver waits for (mailbox created by
+        the first one)."""
+        mailbox = self.user_mailbox
+        if mailbox is ABSENT:
+            mailbox = self.user_mailbox = deque()
+        mailbox.append(msg)
+
+    def add_recv_waiter(self, task: Task, tag: object) -> None:
+        """Park a task blocked in ``recv`` (list created by the first)."""
+        waiters = self.recv_waiters
+        if waiters is ABSENT:
+            waiters = self.recv_waiters = []
+        waiters.append((task, tag))
 
     # -- inbox -----------------------------------------------------------
     def inbox_push(self, msg: Message) -> None:
         """Deliver an architectural message to this core."""
         inbox = self.inbox
+        if inbox is ABSENT:
+            inbox = self.inbox = deque()
         if self.track_arrivals:
             heap = self._arrival_heap
-            if heap and not inbox:
+            if heap is ABSENT:
+                heap = self._arrival_heap = []
+            elif heap and not inbox:
                 # All live messages were drained host-order; drop the
                 # tombstones instead of letting them accumulate.
                 heap.clear()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import (
@@ -240,20 +240,16 @@ class Machine:
             speed_factors = [1.0] * self.n_cores
         if len(speed_factors) != self.n_cores:
             raise SimConfigError("speed_factors length must match core count")
-        self.cores: List[CoreUnit] = []
-        for cid in range(self.n_cores):
-            factor = float(speed_factors[cid])
-            annotator = BlockAnnotator(
-                table.scaled(factor),
-                predictor=BranchPredictorModel(
-                    accuracy=branch_accuracy,
-                    penalty_cycles=branch_penalty,
-                    seed=seed * 1_000_003 + cid,
-                ),
-                sample_branches=sample_branches,
-            )
-            self.cores.append(
-                CoreUnit(cid, annotator, speed_factor=factor, soa=self.soa))
+        # Each core's annotator is built from these at its first task
+        # start (_start_or_resume); most cores of a large machine never
+        # run one.  Building the predictor here checks the branch model.
+        self._annotator_parts = (table, sample_branches, BranchPredictorModel(
+            accuracy=branch_accuracy, penalty_cycles=branch_penalty))
+        self.cores: List[CoreUnit] = [
+            CoreUnit(cid, speed_factor=float(speed_factors[cid]),
+                     soa=self.soa)
+            for cid in range(self.n_cores)
+        ]
 
         self.memory = None  # attached by the builder
         self.runtime = None  # attached by the builder
@@ -277,7 +273,8 @@ class Machine:
         self._ready: deque = deque()
         self._stalled: set = set()
         self._svc_time = 0.0
-        self._neighbor_cache = [topo.neighbors(c) for c in range(self.n_cores)]
+        # The plane's neighbour tuples, shared rather than copied per core.
+        self._neighbor_cache = self.soa.neighbors
         self.live_tasks = 0
         self.last_finish_time = 0.0
         self._ran = False
@@ -599,7 +596,7 @@ class Machine:
         self.live_tasks += 1
         core = self.cores[root_core]
         root.core = root_core
-        core.queue.append(root)
+        core.enqueue(root)
         self._make_ready(core)
         return root
 
@@ -1305,7 +1302,7 @@ class Machine:
                 self.wake_task(task, msg, self.service_now(core),
                                ctx_switch=True)
                 return
-        core.user_mailbox.append(msg)
+        core.park_user_message(msg)
 
     # -- task lifecycle ----------------------------------------------------
     def register_task(self, task: Task) -> None:
@@ -1325,7 +1322,7 @@ class Machine:
         task.resume_is_ctx_switch = ctx_switch
         task.waiting_on = None
         core = self.cores[task.core]
-        core.queue.append(task)
+        core.enqueue(task)
         hook = self._on_event_enqueued
         if hook is not None:
             hook(core)
@@ -1350,6 +1347,12 @@ class Machine:
     def _start_or_resume(self, core: CoreUnit, task: Task) -> None:
         params = self.params
         if task.state == TaskState.NEW:
+            if core.annotator is None:
+                table, sample, predictor = self._annotator_parts
+                core.annotator = BlockAnnotator(
+                    table.scaled(core.speed_factor), sample_branches=sample,
+                    predictor=replace(predictor,
+                                      seed=self.seed * 1_000_003 + core.cid))
             if not self.fabric.active[core.cid]:
                 self.fabric.set_active(core.cid, task.ready_time)
                 self.policy.on_activation(core)
@@ -1488,7 +1491,7 @@ class Machine:
                 task.resume_value = msg
                 return
         suspended = self.suspend_current(core, "recv")
-        core.recv_waiters.append((suspended, action.tag))
+        core.add_recv_waiter(suspended, action.tag)
 
     def _do_localtime(self, core: CoreUnit, task: Task, action: LocalTime) -> None:
         task.resume_value = self.now(core)

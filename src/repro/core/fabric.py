@@ -116,7 +116,10 @@ class VirtualTimeFabric:
 
         n = topo.n_cores
         self.n_cores = n
-        self._neighbors: List[tuple] = [topo.neighbors(c) for c in range(n)]
+        # One neighbour tuple per core, shared with the plane when given.
+        self._neighbors: List[tuple] = (
+            soa.neighbors if soa is not None
+            else [topo.neighbors(c) for c in range(n)])
         # Struct-of-arrays core-state plane: the engine shares one plane
         # across fabric, cores and dispatcher; a standalone fabric (unit
         # tests) owns a private one.  ``vtime``/``active``/``published``
@@ -129,8 +132,9 @@ class VirtualTimeFabric:
         self.vtime = soa.vtime
         self.active = soa.active
         self.published = soa.published
-        # Birth ledger: per core, timestamp -> outstanding count.
-        self._births: List[Dict[float, int]] = [dict() for _ in range(n)]
+        # Birth ledger: per core, timestamp -> outstanding count; None
+        # until the core's first spawn (most cores never spawn).
+        self._births: List[Optional[Dict[float, int]]] = [None] * n
         self._births_min = soa.births_min
         self._dirty = True  # shadows need a full recompute
         self._exact = shadow_enabled and shadow_mode == "exact"
@@ -295,6 +299,8 @@ class VirtualTimeFabric:
     def add_birth(self, cid: int, timestamp: float) -> None:
         """Record a spawned task's birth time on its parent's core."""
         births = self._births[cid]
+        if births is None:
+            births = self._births[cid] = {}
         births[timestamp] = births.get(timestamp, 0) + 1
         if timestamp < self._births_min[cid]:
             self._births_min[cid] = timestamp
@@ -305,7 +311,7 @@ class VirtualTimeFabric:
     def remove_birth(self, cid: int, timestamp: float) -> None:
         """Discard a birth date once the task reached its destination."""
         births = self._births[cid]
-        count = births.get(timestamp)
+        count = births.get(timestamp) if births else None
         if not count:
             raise RuntimeError(f"no pending birth at t={timestamp} on core {cid}")
         if count == 1:

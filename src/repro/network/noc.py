@@ -11,12 +11,18 @@ all messages coming from another given core in the order the latter sent
 them; only messages from *different* sources may be processed out of order.
 This is realized by never letting the arrival time of a (src, dst) pair
 regress below the previous message's arrival time.
+
+The NoC holds the only per-pair state of a machine: one route entry per
+pair that has carried a message (its links, hop count, base latency and
+FIFO floor) and one ``min_latency`` value per pair that asked for it,
+both keyed by ``src * n_cores + dst``.  The routing table keeps none, so
+a pair's path is resolved once, on its first miss here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .link import DEFAULT_CHUNK_BYTES, Link
 from .routing import RoutingTable
@@ -71,14 +77,14 @@ class Noc:
         self.router_penalty = router_penalty
         self.chunk_bytes = chunk_bytes
         self.model_contention = model_contention
+        self._n = topo.n_cores
         self._links: Dict[Tuple[int, int], Link] = {}
-        self._fifo_floor: Dict[Tuple[int, int], float] = {}
-        # Per-(src, dst) route memo: the path is static, so the link
-        # objects, hop count and (in the uncontended model) the base
-        # latency and serialization link are resolved once per pair
-        # instead of per message.
-        self._route_cache: Dict[Tuple[int, int], tuple] = {}
-        self._min_latency_memo: Dict[Tuple[int, int], float] = {}
+        # Per-pair route entry [links, hops, base latency, serialization
+        # link, FIFO floor]: the path is static, so everything but the
+        # floor is resolved once per pair instead of per message; the
+        # floor is the pair's last arrival time.
+        self._route_cache: Dict[int, list] = {}
+        self._min_latency_memo: Dict[int, float] = {}
         self.stats = NocStats()
 
     def _link(self, u: int, v: int) -> Link:
@@ -90,13 +96,13 @@ class Noc:
         return link
 
     # ------------------------------------------------------------------
-    def _route(self, src: int, dst: int) -> tuple:
-        """Resolve (links, hops, base_latency, serialization_link) once
-        per (src, dst) pair; the route is static for a simulation."""
+    def _route(self, key: int, src: int, dst: int) -> List:
+        """Resolve a pair's route entry on its first message; the route
+        is static for a simulation."""
         path, latency = self.routing.route(src, dst)
         links = tuple(self._link(u, v) for u, v in zip(path, path[1:]))
-        entry = (links, len(path) - 1, latency, links[0])
-        self._route_cache[(src, dst)] = entry
+        entry = [links, len(path) - 1, latency, links[0], 0.0]
+        self._route_cache[key] = entry
         return entry
 
     def delivery_time(self, src: int, dst: int, size_bytes: float, depart: float) -> float:
@@ -110,11 +116,11 @@ class Noc:
             raise ValueError("message size must be non-negative")
         if src == dst:
             return depart
-        key = (src, dst)
+        key = src * self._n + dst
         entry = self._route_cache.get(key)
         if entry is None:
-            entry = self._route(src, dst)
-        links, hops, path_latency, first_link = entry
+            entry = self._route(key, src, dst)
+        links, hops, path_latency, first_link, floor = entry
         stats = self.stats
         if self.model_contention:
             t = depart
@@ -133,18 +139,17 @@ class Noc:
         stats.total_hops += hops
 
         # Per-source FIFO: arrival times of a (src, dst) stream never regress.
-        floor = self._fifo_floor.get(key, 0.0)
         if t < floor:
             t = floor
             stats.fifo_adjustments += 1
-        self._fifo_floor[key] = t
+        entry[4] = t
         return t
 
     def min_latency(self, src: int, dst: int) -> float:
         """Uncontended, zero-size message latency between two cores."""
         if src == dst:
             return 0.0
-        key = (src, dst)
+        key = src * self._n + dst
         cached = self._min_latency_memo.get(key)
         if cached is None:
             path, latency = self.routing.route(src, dst)
@@ -156,7 +161,8 @@ class Noc:
         """Clear all run-time state (links, FIFO floors, stats)."""
         for link in self._links.values():
             link.reset()
-        self._fifo_floor.clear()
+        for entry in self._route_cache.values():
+            entry[4] = 0.0
         self.stats = NocStats()
 
     def link_utilization(self) -> Dict[Tuple[int, int], float]:

@@ -9,6 +9,9 @@ runs.  Every other topology (torus, ring, crossbar, clustered,
 hierarchical, ``from_adjacency``, mixed latencies, an added link) runs
 one resumable, early-exit Dijkstra per source that a message leaves;
 direct neighbours skip it (the run-time system dispatches to neighbours).
+A route is resolved on each call and not retained: its one caller, the
+NoC, keeps its own entry per pair that talks, so a copy here would only
+double the per-pair memory of a large machine.
 
 The route's latency is the left-to-right sum of the link latencies along
 the path.  With latencies whose sums are exact in floating point (every
@@ -43,12 +46,15 @@ def _grid_walk(width: int, src: int, dst: int, x_first: bool) -> List[int]:
 
 
 class RoutingTable:
-    """Shortest-path routing from per-source trees, grown on demand."""
+    """Shortest-path routing from per-source trees, grown on demand.
+
+    Keeps no per-pair state: :meth:`route` resolves a pair on each call.
+    The per-source trees of non-grid topologies are kept, so a later
+    query from the same source resumes the search instead of restarting.
+    """
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
-        # (src, dst) -> (path, latency) of every pair resolved so far.
-        self._path_cache: Dict[Tuple[int, int], Tuple[Path, float]] = {}
         # src -> (dist, parent, settled, heap): the partial shortest-path
         # tree and the heap its search resumes from.  Typed arrays, not
         # lists or dicts: at 1024 cores the trees of one run decide
@@ -111,8 +117,8 @@ class RoutingTable:
                 return dist, parent
         raise ValueError(f"no route from {src} to {dst}")
 
-    def _resolve(self, src: int, dst: int) -> Tuple[Path, float]:
-        """Path and latency of one pair (uncached)."""
+    def route(self, src: int, dst: int) -> Tuple[Path, float]:
+        """``(path, latency)`` of the route, resolved on each call."""
         if src == dst:
             return (src,), 0.0
         grid = self.topo.grid
@@ -146,14 +152,6 @@ class RoutingTable:
         nodes.reverse()
         return tuple(nodes), dist[dst]
 
-    def route(self, src: int, dst: int) -> Tuple[Path, float]:
-        """``(path, latency)`` of the route, resolved once per pair."""
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = self._path_cache[key] = self._resolve(src, dst)
-        return cached
-
     def path(self, src: int, dst: int) -> Path:
         """Full node path ``src, ..., dst`` (inclusive)."""
         return self.route(src, dst)[0]
@@ -173,8 +171,8 @@ class RoutingTable:
         return self.route(src, dst)[1]
 
     def clear_cache(self) -> None:
-        """Drop all cached routes (after topology changes)."""
-        self._path_cache.clear()
+        """Drop the search state (after topology changes): the per-source
+        trees, the link-row snapshot and the latency range."""
         self._trees.clear()
         self._rows = None
         self._latency_range = None
@@ -196,7 +194,7 @@ class XYRouting(RoutingTable):
             raise ValueError("mesh width must divide the core count")
         self.width = width
 
-    def _resolve(self, src: int, dst: int) -> Tuple[Path, float]:
+    def route(self, src: int, dst: int) -> Tuple[Path, float]:
         nodes = _grid_walk(self.width, src, dst, x_first=True)
         total = 0.0
         for u, v in zip(nodes, nodes[1:]):

@@ -53,8 +53,10 @@ class Runtime:
         # fenced (see attach()).
         self._neighbors: List[Tuple[int, ...]] = []
         self._steal_pending: List[bool] = []
-        # Occupancy proxies: proxy[c][n] = believed occupancy of neighbour n.
-        self._proxy: List[Dict[int, int]] = []
+        # Occupancy proxies: proxy[c][n] = believed occupancy of neighbour
+        # n; None until core c first spawns or hears from a neighbour
+        # (see _proxies).
+        self._proxy: List[Optional[Dict[int, int]]] = []
         # Rotating cursor per core for neighbour tie-breaking.
         self._cursor: List[int] = []
         self._last_broadcast: List[int] = []
@@ -70,7 +72,7 @@ class Runtime:
         n = machine.n_cores
         fence = machine.fence
         if fence is None:
-            self._neighbors = [machine.topo.neighbors(c) for c in range(n)]
+            self._neighbors = machine.soa.neighbors
         else:
             # Shard fencing (ArchConfig.shards > 0): the run-time only
             # gossips with, dispatches to and steals from same-shard
@@ -84,9 +86,7 @@ class Runtime:
                       if owner[j] == owner[c])
                 for c in range(n)
             ]
-        self._proxy = [
-            {j: 0 for j in self._neighbors[c]} for c in range(n)
-        ]
+        self._proxy = [None] * n
         self._cursor = [0] * n
         self._last_broadcast = [-1] * n
         self._steal_pending = [False] * n
@@ -125,9 +125,18 @@ class Runtime:
             MsgKind.PROBE, core, target, payload=(suspended, action)
         )
 
+    def _proxies(self, cid: int) -> Dict[int, int]:
+        """Core ``cid``'s proxy map, built whole at its first use: every
+        neighbour at occupancy 0, in neighbour order (dispatch iterates
+        it, so the order is part of the trajectory)."""
+        proxies = self._proxy[cid]
+        if proxies is None:
+            proxies = self._proxy[cid] = dict.fromkeys(self._neighbors[cid], 0)
+        return proxies
+
     def _pick_target(self, core) -> Optional[int]:
         """Delegate target choice to the dispatch policy."""
-        proxies = self._proxy[core.cid]
+        proxies = self._proxies(core.cid)
         if not proxies:
             return None
         capacity = self.machine.params.queue_capacity
@@ -175,7 +184,8 @@ class Runtime:
             size=self.spawn_msg_size,
         )
         # Optimistically bump the proxy so back-to-back spawns spread out.
-        self._proxy[core.cid][msg.src] = self._proxy[core.cid][msg.src] + 1
+        proxies = self._proxies(core.cid)
+        proxies[msg.src] = proxies[msg.src] + 1
         machine.wake_task(parent_task, True, birth, ctx_switch=False)
 
     def _on_probe_nack(self, core, msg) -> None:
@@ -185,7 +195,7 @@ class Runtime:
             tel.counters["runtime.spawn_denied"] += 1
         payload, occupancy = msg.payload
         parent_task, action = payload
-        self._proxy[core.cid][msg.src] = occupancy
+        self._proxies(core.cid)[msg.src] = occupancy
         machine.stats.tasks_run_inline += 1
         machine.wake_task(parent_task, False, machine.service_now(core),
                           ctx_switch=False)
@@ -198,7 +208,7 @@ class Runtime:
             raise ProtocolError("TASK_SPAWN without a reservation")
         child.ready_time = machine.service_now(core)
         child.core = core.cid
-        core.queue.append(child)
+        core.enqueue(child)
         hook = getattr(machine.policy, "on_event_enqueued", None)
         if hook is not None:
             hook(core)
@@ -223,7 +233,7 @@ class Runtime:
             )
 
     def _on_queue_state(self, core, msg) -> None:
-        self._proxy[core.cid][msg.src] = msg.payload
+        self._proxies(core.cid)[msg.src] = msg.payload
 
     def on_task_dequeued(self, core) -> None:
         """Engine hook: a task left the queue; refresh neighbour proxies."""
@@ -291,7 +301,7 @@ class Runtime:
         """Engine hook: a core ran out of work."""
         if not self.work_stealing or self._steal_pending[core.cid]:
             return
-        proxies = self._proxy[core.cid]
+        proxies = self._proxies(core.cid)
         if not proxies:
             return
         victim = max(proxies, key=proxies.get)
@@ -338,7 +348,7 @@ class Runtime:
             tel.counters["runtime.steals_successful"] += 1
         task.ready_time = machine.service_now(core)
         task.core = core.cid
-        core.queue.append(task)
+        core.enqueue(task)
         hook = getattr(machine.policy, "on_event_enqueued", None)
         if hook is not None:
             hook(core)

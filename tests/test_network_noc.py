@@ -61,10 +61,15 @@ class TestDeliveryTime:
 
     def test_reset(self):
         noc = Noc(mesh2d(2, 2))
-        noc.delivery_time(0, 1, 64, 0.0)
+        big = noc.delivery_time(0, 1, 4096, 0.0)
         noc.reset()
         assert noc.stats.messages == 0
-        assert not noc._fifo_floor
+        # The reset drops the pair's FIFO floor with the link state: a
+        # small message sent at the same time now arrives before the big
+        # one did, unadjusted.
+        small = noc.delivery_time(0, 1, 8, 0.0)
+        assert small < big
+        assert noc.stats.fifo_adjustments == 0
 
 
 class TestPerSourceFifo:

@@ -78,11 +78,17 @@ class TestRouting:
             routing.path(0, 2)
 
     def test_cache_cleared(self):
+        # clear_cache() owns the search state: the per-source trees and
+        # the link-row snapshot.  Routes themselves are never retained.
         routing = RoutingTable(ring(6))
-        routing.path(0, 3)
-        assert routing._path_cache
+        path = routing.path(0, 3)
+        assert routing.trees_built == 1
+        assert routing._rows is not None
         routing.clear_cache()
-        assert not routing._path_cache
+        assert routing.trees_built == 0
+        assert routing._rows is None
+        assert routing.path(0, 3) == path
+        assert routing.trees_built == 1
 
     @given(
         n=st.integers(min_value=2, max_value=30),

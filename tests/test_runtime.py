@@ -298,6 +298,14 @@ class TestQueueStateProxies:
     def test_proxies_updated(self, mesh8):
         mesh8.run(fanout_root(10))
         runtime = mesh8.runtime
-        # Every core's proxy map covers exactly its neighbours.
-        for cid in range(mesh8.n_cores):
-            assert set(runtime._proxy[cid]) == set(mesh8.topo.neighbors(cid))
+        built = [cid for cid in range(mesh8.n_cores)
+                 if runtime._proxy[cid] is not None]
+        assert 0 in built  # the root's core spawned
+        # Every proxy map is built whole, over exactly its core's
+        # neighbours in neighbour order; gossip then updates it in place.
+        for cid in built:
+            assert tuple(runtime._proxy[cid]) == mesh8.topo.neighbors(cid)
+        # A core that never spawned nor heard gossip reads all zeros.
+        for cid in set(range(mesh8.n_cores)) - set(built):
+            assert runtime._proxies(cid) == dict.fromkeys(
+                mesh8.topo.neighbors(cid), 0)
