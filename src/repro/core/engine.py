@@ -819,13 +819,14 @@ class Machine:
             self.observers.run_finished()
 
     @property
-    def trace(self) -> Optional[Dict[str, list]]:
-        """The run's trace export (``None`` without ``collect_trace``).
+    def trace(self):
+        """The run's :class:`~repro.harness.trace.PackedTrace` (``None``
+        without ``collect_trace``).
 
-        Built on each read, not stored: an export doubles the tracer's
-        records, and a stored copy would live until the machine's
-        reference cycles are collected — measurably raising a service
-        process's peak RSS.  Read it once and keep the result.
+        Built on each read: still-open spans are flushed at the cores'
+        clocks into a copy of the tracer's rows, so the tracer itself
+        keeps recording if the run resumes.  Read it once and keep the
+        result.
         """
         return self.tracer.export() if self.tracer is not None else None
 

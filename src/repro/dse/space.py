@@ -161,10 +161,10 @@ def _cell_raw_spec(base: Dict[str, Any],
         section, _, field = name.partition(".")
         (arch if section == "arch" else workload)[field] = value
     # Execution options are fixed for sweep cells: never waited on at
-    # submission, no per-cell digest/telemetry — keeps the per-cell
-    # document a pure function of the semantic spec.
+    # submission, no per-cell telemetry — keeps the per-cell document a
+    # pure function of the semantic spec.
     return {"arch": arch, "workload": workload,
-            "options": {"digest": False, "telemetry": None}}
+            "options": {"telemetry": None}}
 
 
 def expand_sweep(payload: Any) -> SweepPlan:

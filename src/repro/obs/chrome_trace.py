@@ -4,8 +4,9 @@ Builds the JSON object format described in the Trace Event Format spec
 (the one ``chrome://tracing`` and https://ui.perfetto.dev load directly)
 from the simulator's own timeline sources:
 
-* ``harness.trace.Tracer.export()`` — per-core task spans, drift-stall
-  instants and message records, all in **virtual time**;
+* a run's trace (``harness.trace.PackedTrace``, e.g. ``Tracer.export()``
+  or ``backend.trace``) — per-core task spans, drift-stall instants and
+  message records, all in **virtual time**;
 * the sharded backend's per-worker host-round records and the
   coordinator's escalation events, in **wall-clock time**.
 
@@ -35,11 +36,12 @@ def build_chrome_trace(trace: Optional[dict] = None,
                        include_messages: bool = False) -> dict:
     """Assemble a Chrome ``trace_event`` JSON document.
 
-    ``trace`` is a ``Tracer.export()`` dict (``spans``/``stalls``/
-    ``messages``); ``host_rounds`` maps shard id to ``(round_no,
-    start_s, dur_s)`` tuples; ``coord_events`` is an iterable of
-    ``{"name": ..., "ts_s": ..., ...}`` coordinator instants (waivers,
-    reliefs).  Message instants flood dense traces, so they are opt-in.
+    ``trace`` maps ``spans``/``stalls``/``messages`` to lists of dicts
+    (a ``PackedTrace`` reads that way); ``host_rounds`` maps shard id
+    to ``(round_no, start_s, dur_s)`` tuples; ``coord_events`` is an
+    iterable of ``{"name": ..., "ts_s": ..., ...}`` coordinator
+    instants (waivers, reliefs).  Message instants flood dense traces,
+    so they are opt-in.
     """
     events: List[dict] = []
 

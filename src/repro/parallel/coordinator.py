@@ -135,10 +135,11 @@ class ShardedMachine:
         #: round handling) and ``parallel_efficiency``
         #: (``worker_busy_s / (wall * min(shards, host_cpus))``).
         self.protocol: Dict[str, object] = {}
-        #: Merged canonical trace (``cfg.collect_trace`` only): workers
-        #: each run a Tracer and ship their export with the done reply;
-        #: :func:`repro.harness.trace.merge_traces` concatenates them for
-        #: :func:`~repro.harness.trace.trace_digest`.  ``None`` otherwise.
+        #: Merged trace (``cfg.collect_trace`` only): workers each run a
+        #: Tracer and ship its packed trace with the done reply;
+        #: :func:`repro.harness.trace.merge_traces` concatenates them, so
+        #: this is the same type a serial ``Machine.trace`` returns.
+        #: ``None`` otherwise.
         self.trace = None
         #: Coordinator-side telemetry (``cfg.telemetry``): merged with
         #: per-worker snapshots in :meth:`_finalize`, exposed via

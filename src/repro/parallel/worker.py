@@ -37,8 +37,10 @@ control pipe:
     (``repro.checkpoint.state``) — sent at a round barrier, where no
     slice is in flight and the capture is a pure read.
 ``("stop",)``
-    Finalize stats and reply with results plus per-edge byte counts and
-    this worker's cumulative busy wall time.
+    Finalize stats and reply with results plus per-edge byte counts,
+    this worker's cumulative busy wall time, its packed trace
+    (``cfg.collect_trace``; ``None`` otherwise) and its telemetry
+    snapshot.
 
 Module-level entry point (``worker_main``) so the ``spawn`` start
 method can import it in the child process; under ``fork`` the child

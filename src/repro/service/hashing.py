@@ -5,7 +5,7 @@ A service request describes one simulation as JSON::
     {
       "arch":     {"preset": "shared_mesh", "n_cores": 16, "sync": "spatial"},
       "workload": {"benchmark": "quicksort", "scale": "tiny", "seed": 0},
-      "options":  {"wait": true, "timeout_s": 120, "digest": true}
+      "options":  {"wait": true, "timeout_s": 120}
     }
 
 :func:`resolve_spec` validates that against the real configuration
@@ -22,8 +22,9 @@ result cache:
 * the ``workload`` section is normalized to its four identity fields
   (``benchmark``, ``scale``, ``seed``, ``root_core``; ``memory`` is
   derived from the arch config, exactly as the CLI derives it);
-* the ``options`` section never enters the hash — waiting, timeouts and
-  digest collection do not change what is simulated.
+* the ``options`` section never enters the hash — waiting, timeouts,
+  telemetry and checkpointing do not change what is simulated, nor what
+  the result document holds (every one carries ``trace_digest``).
 
 The canonical form is serialized with sorted keys and compact
 separators (:func:`canonical_json`), so the hash is independent of the
@@ -53,7 +54,8 @@ from ..workloads import BENCHMARKS, SCALE_PARAMS
 
 #: Canonical-spec schema version; bumped on incompatible layout changes
 #: (a bump invalidates every cache entry, which is the safe direction).
-SPEC_SCHEMA = 1
+#: 2: result documents carry the packed-trace ``trace_digest``, always.
+SPEC_SCHEMA = 2
 
 #: Arch presets a spec may name; each maps to the factory in
 #: ``repro.arch.presets`` and receives ``n_cores`` (plus ``n_clusters``
@@ -70,7 +72,7 @@ PRESETS = {
 
 #: Recognized ``options`` keys (everything else is rejected so typos
 #: fail loudly instead of silently doing nothing).
-OPTION_KEYS = frozenset({"wait", "timeout_s", "digest", "telemetry",
+OPTION_KEYS = frozenset({"wait", "timeout_s", "telemetry",
                          "checkpoint_every"})
 
 
@@ -260,6 +262,9 @@ def _resolve_options(payload: Any) -> Dict[str, Any]:
         payload = {}
     if not isinstance(payload, dict):
         raise SpecError("'options' must be a JSON object")
+    if "digest" in payload:
+        raise SpecError("option 'digest' is retired: every result document "
+                        "carries trace_digest")
     unknown = set(payload) - OPTION_KEYS
     if unknown:
         raise SpecError(f"unknown option(s): {sorted(unknown)}; "
@@ -267,7 +272,6 @@ def _resolve_options(payload: Any) -> Dict[str, Any]:
     options = {
         "wait": bool(payload.get("wait", False)),
         "timeout_s": payload.get("timeout_s"),
-        "digest": bool(payload.get("digest", True)),
         "telemetry": payload.get("telemetry", "counters"),
         "checkpoint_every": payload.get("checkpoint_every"),
     }

@@ -398,8 +398,9 @@ class JobQueue:
 
         Builds the backend exactly like ``python -m repro run`` does
         (``build_backend(cfg).run_workloads``), collects the trace for
-        the canonical digest, verifies the simulated output with the
-        workload's independent checker, and serializes everything with
+        the canonical digest every document carries, verifies the
+        simulated output with the workload's independent checker, and
+        serializes everything with
         :func:`repro.harness.results.run_record`.
 
         With the ``checkpoint_every`` option the same run persists a
@@ -424,12 +425,10 @@ class JobQueue:
         spec = job.spec
         options = spec.options
         every = options.get("checkpoint_every") or None
-        overrides: Dict[str, Any] = {}
+        overrides: Dict[str, Any] = {"collect_trace": True}
         telemetry = options.get("telemetry")
         if telemetry:
             overrides["telemetry"] = telemetry
-        if options.get("digest", True):
-            overrides["collect_trace"] = True
         snap = None
         path = self._checkpoint_path(job)
         if every is not None:
@@ -462,8 +461,7 @@ class JobQueue:
             **checkpoint_kwargs(cfg, [wspec], every=every, sink=sink,
                                 resume=snap, note=spec.spec_hash))
         wspec.resolve().verify(result["output"])
-        trace = backend.trace
-        digest = trace_digest(trace) if trace is not None else None
+        digest = trace_digest(backend.trace)
         snapshot = collect_live_snapshot(backend) if telemetry else None
         document = run_record(result, backend.stats,
                               protocol=backend.protocol,

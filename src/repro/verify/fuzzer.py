@@ -228,8 +228,8 @@ def _shard_closed(case: FuzzCase, trace) -> bool:
     part = contiguous_partition(
         build_topology(case.config("serial", False)), case.shards)
     owner = part.owner
-    return not any(m["kind"] == "user" and owner[m["src"]] != owner[m["dst"]]
-                   for m in trace["messages"])
+    return not any(m.kind == "user" and owner[m.src] != owner[m.dst]
+                   for m in trace.message_events())
 
 
 def run_case(case: FuzzCase, sanitize: bool = True) -> Tuple[bool, Dict]:

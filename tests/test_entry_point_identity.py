@@ -27,7 +27,7 @@ WORKLOAD = {"benchmark": "quicksort", "scale": "tiny", "seed": 3}
 SERIAL = {"preset": "shared_mesh", "n_cores": 16}
 SHARDED = dict(SERIAL, shards=4, backend="sharded")
 #: Execution options the sweep engine fixes for its cells.
-CELL_OPTIONS = {"digest": False, "telemetry": None}
+CELL_OPTIONS = {"telemetry": None}
 #: One checkpoint interval (virtual-time cycles) for both architectures.
 EVERY = 2000.0
 
@@ -98,5 +98,31 @@ def test_every_entry_point_gives_the_same_result(tmp_path, arch):
     assert cell["status"] == "ok" and cell["spec_hash"] == spec.spec_hash
     assert cell["stats_vt"] == stats_vt
     assert cell["metrics"]["work_vtime"] == results[0]["work_vtime"]
-    assert body(ResultStore(store).get(spec.spec_hash)) == body(
+    swept = ResultStore(store).get(spec.spec_hash)
+    assert swept["result"]["trace_digest"] == digest
+    assert body(swept) == body(
         service_document(tmp_path, "cell", payload, CELL_OPTIONS))
+
+
+def test_a_store_filled_by_a_sweep_serves_the_digest(tmp_path):
+    """Regression: sweep cells once skipped the digest, and the spec hash
+    does not cover options, so a service request answered from a store
+    a sweep filled first got a document without ``trace_digest``."""
+    payload = {"arch": SERIAL, "workload": WORKLOAD}
+    store = str(tmp_path / "shared")
+    run_sweep(expand_sweep({"base": payload,
+                            "axes": {"arch.n_cores": [SERIAL["n_cores"]]}}),
+              store_dir=store, jobs=1)
+    queue = JobQueue(ResultStore(store), workers=1)
+    try:
+        job = queue.submit(resolve_spec(payload))
+        assert job.wait(120) and job.cache_hit
+        served = job.document["result"]
+    finally:
+        queue.shutdown()
+    cfg = dataclasses.replace(resolve_spec(payload).cfg, collect_trace=True)
+    backend = build_backend(cfg)
+    backend.run_workloads([WorkloadSpec(
+        WORKLOAD["benchmark"], scale=WORKLOAD["scale"], seed=WORKLOAD["seed"],
+        memory=cfg.memory)])
+    assert served["trace_digest"] == trace_digest(backend.trace)

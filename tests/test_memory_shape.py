@@ -5,7 +5,8 @@ one thin ``CoreUnit``); queues, inboxes, mailboxes, annotators, proxy
 maps and birth ledgers appear at a core's first push or first task.
 Per-pair state lives in the NoC alone, one entry per routed pair; the
 routing table keeps none.  ``tests/memory_past_1024.py`` checks the
-same at 4096 cores in CI.
+same at 4096 cores in CI.  A ``Tracer`` holds packed rows, not an
+object per recorded event.
 """
 
 import dataclasses
@@ -16,8 +17,9 @@ import tracemalloc
 import pytest
 
 from memory_past_1024 import traced_build
-from repro.arch import build_machine, numa_mesh, shared_mesh
+from repro.arch import build_machine, dist_mesh, numa_mesh, shared_mesh
 from repro.core.coreunit import ABSENT
+from repro.harness import trace
 from repro.network.noc import Noc
 from repro.network.routing import RoutingTable
 from repro.network.topology import square_mesh
@@ -101,3 +103,26 @@ def test_build_bytes_per_core_at_1024():
     # Measured 830 B per core with CPython 3.11 (4 142 B while every
     # core owned its containers and annotator); 25 % margin.
     assert allocated / 1024 <= 1040
+
+
+def test_tracer_bytes_per_recorded_event():
+    cfg = dist_mesh(64)
+    workload = get_workload("connected_components", scale="small",
+                            memory=cfg.memory)
+    machine = build_machine(cfg)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracer = trace.Tracer(machine)
+        machine.run(workload.root)
+        gc.collect()
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, trace.__file__)])
+    finally:
+        tracemalloc.stop()
+    events = (len(tracer.spans) + len(tracer.messages)
+              + len(tracer.stalls))
+    assert events > 10000
+    # Measured 40.4 B (32 B per span row, 40 B per message row, a few
+    # hundred stall dicts); an object per span and message held 140 B.
+    assert sum(s.size for s in held.statistics("filename")) / events <= 48

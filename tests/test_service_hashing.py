@@ -98,9 +98,18 @@ class TestSpecHash:
 
     def test_options_never_hashed(self):
         with_options = dict(BASE, options={"wait": True, "timeout_s": 5,
-                                           "digest": False,
-                                           "telemetry": "all"})
+                                           "telemetry": "all",
+                                           "checkpoint_every": 500.0})
         assert _hash_of(BASE) == _hash_of(with_options)
+
+    def test_spec_schema_pin(self):
+        """Literal pin of a whole spec hash.  Schema 2 moved every spec
+        hash (schema 1 gave ``c24250d1...``): stores written before every
+        document carried the packed-trace digest re-simulate instead of
+        serving a document with an old-form digest, or none."""
+        assert resolve_spec(BASE).canonical["schema"] == 2
+        assert _hash_of(BASE) == (
+            "7ce73b5ac6bab4a190d3737969192dc56b0f19bbb162acb93bf621159a3ea002")
 
     def test_defaults_are_explicit(self):
         """Omitting a field and stating its default hash identically."""
@@ -166,6 +175,13 @@ class TestSpecValidation:
     def test_rejects_with_actionable_message(self, payload, fragment):
         with pytest.raises(SpecError, match=fragment):
             resolve_spec(payload)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_digest_option_is_retired(self, value):
+        """Every document carries ``trace_digest``; naming the old
+        opt-out (either way) is a structured 400 that says so."""
+        with pytest.raises(SpecError, match="option 'digest' is retired"):
+            resolve_spec(dict(BASE, options={"digest": value}))
 
     #: Arch sections only a machine build, or the run itself, would
     #: refuse: each would be a job that fails inside a worker.

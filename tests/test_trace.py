@@ -1,15 +1,26 @@
 """Tests for the execution tracer."""
 
 import dataclasses
+import multiprocessing
+import random
+from array import array
 
+import numpy as np
 import pytest
 
-from repro.arch import build_machine, shared_mesh
-from repro.harness.trace import (Tracer, _canonical_task, merge_traces,
-                                 trace_digest)
+from repro.arch import build_backend, build_machine, shared_mesh
+from repro.harness.trace import (MSG_WIDTH, SPAN_WIDTH, PackedTrace, Tracer,
+                                 canonical_form, merge_traces, trace_digest)
+from repro.parallel import WorkloadSpec
+from repro.verify.fuzzer import _run as fuzz_run
 from repro.workloads import get_workload
 
 from conftest import fanout_root
+from fuzz_corpus import KNOWN_DIVERGENCES, case_for
+from trace_reference import (ReferenceTracer, _canonical_task,
+                             canonical_events, reference_digest)
+
+FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 def traced_run(n_cores=8, root=None, **cfg_overrides):
@@ -208,10 +219,103 @@ class TestCanonicalDigest:
     def test_digest_sensitive_to_events(self):
         trace = self.run_trace()
         baseline = trace_digest(trace)
-        trace["spans"][0]["end"] += 1.0
+        trace.span_rows[3] += 1.0  # the first span's end
         assert trace_digest(trace) != baseline
 
+    def test_digest_tells_signed_zeros_apart(self):
+        def one_span(start):
+            return PackedTrace(("root",), (), array("d", [0, 0, start, 1.0]),
+                               array("d"), [])
+
+        assert trace_digest(one_span(0.0)) != trace_digest(one_span(-0.0))
+
     def test_merge_is_order_independent_under_digest(self):
-        a, b = self.run_trace(seed=0), self.run_trace(seed=1)
+        a = self.run_trace(seed=0)
+        b = traced_run()[1].export()
+        assert a.names[1] != b.names[1]  # code 1 is remapped either way
         assert trace_digest(merge_traces([a, b])) == \
             trace_digest(merge_traces([b, a]))
+
+    def test_digest_ignores_row_order(self):
+        trace = self.run_trace()
+        rng = random.Random(0)
+
+        def shuffled(flat, width):
+            rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+            rng.shuffle(rows)
+            return array("d", [x for row in rows for x in row])
+
+        moved = PackedTrace(trace.names, trace.kinds,
+                            shuffled(trace.span_rows, SPAN_WIDTH),
+                            shuffled(trace.msg_rows, MSG_WIDTH), [])
+        assert moved.span_rows != trace.span_rows
+        assert trace_digest(moved) == trace_digest(trace)
+
+
+def decoded(trace):
+    """The canonical form's sorted tables as reference tuples."""
+    form = canonical_form(trace)
+
+    def hexes(bits):
+        return [float(x).hex() for x in bits.view(np.float64)]
+
+    events = []
+    for row, start, end in zip(form.spans.tolist(), hexes(form.spans[:, 2]),
+                               hexes(form.spans[:, 3])):
+        events.append(("span", row[0], form.names[row[1]], start, end))
+    msgs = form.messages
+    for row, send, arrival in zip(msgs.tolist(), hexes(msgs[:, 3]),
+                                  hexes(msgs[:, 4])):
+        events.append(("msg", form.kinds[row[0]], row[1], row[2], send,
+                       arrival))
+    return sorted(events)
+
+
+class TestReferenceOracle:
+    """The packed canonical form encodes exactly the multiset of the
+    object-per-event form it replaced (``trace_reference.py``)."""
+
+    def serial(self, root, trace_messages=True, **run_kwargs):
+        machine = build_machine(shared_mesh(16))
+        tracer = Tracer(machine, trace_messages=trace_messages)
+        reference = ReferenceTracer(machine, trace_messages=trace_messages)
+        machine.run(root, **run_kwargs)
+        expected = canonical_events(reference.export())
+        assert expected
+        return tracer.export(), expected
+
+    def test_serial_run(self):
+        trace, expected = self.serial(
+            get_workload("quicksort", scale="tiny", seed=0).root)
+        assert decoded(trace) == expected
+
+    def test_run_stopped_at_a_horizon(self):
+        trace, expected = self.serial(
+            TestOpenSpanFlush.chunked_root(), stop_at_vtime=5000.0)
+        assert decoded(trace) == expected
+
+    def test_without_messages(self):
+        trace, expected = self.serial(fanout_root(8), trace_messages=False)
+        assert not trace.msg_rows
+        assert decoded(trace) == expected
+
+    @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork workers")
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sharded_run(self, shards):
+        cfg = dataclasses.replace(shared_mesh(16), backend="sharded",
+                                  shards=shards, collect_trace=True)
+        backend = build_backend(cfg)
+        backend.run_workloads([WorkloadSpec("quicksort", scale="tiny",
+                                            seed=0, memory=cfg.memory)])
+        trace = backend.trace
+        assert isinstance(trace, PackedTrace)
+        assert decoded(trace) == canonical_events(trace)
+
+    @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork workers")
+    @pytest.mark.parametrize("seed", sorted(KNOWN_DIVERGENCES))
+    def test_known_divergences_differ_under_both_forms(self, seed):
+        serial = fuzz_run(case_for(seed), "serial", sanitize=False)
+        sharded = fuzz_run(case_for(seed), "sharded", sanitize=False)
+        assert serial["digest"] != sharded["digest"]
+        assert reference_digest(serial["trace"]) != \
+            reference_digest(sharded["trace"])
