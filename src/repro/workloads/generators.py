@@ -61,10 +61,10 @@ def params_for(benchmark: str, scale: str) -> Dict[str, int]:
         raise ValueError(f"unknown scale/benchmark: {scale}/{benchmark}") from exc
 
 
-def random_array(n: int, seed: int = 0) -> List[int]:
-    """A random integer array for Quicksort."""
+def random_array(n: int, seed: int = 0) -> np.ndarray:
+    """A random int64 array for Quicksort, values in ``[0, 10 n)``."""
     rng = np.random.default_rng(seed)
-    return [int(x) for x in rng.integers(0, 10 * max(n, 1), size=n)]
+    return rng.integers(0, 10 * max(n, 1), size=n)
 
 
 def random_graph(

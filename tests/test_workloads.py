@@ -7,17 +7,20 @@ equal to networkx here.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.arch import build_machine, dist_mesh, shared_mesh, shared_mesh_validation
 from repro.workloads import BENCHMARKS, get_workload
-from repro.workloads.quicksort import _partition
+from repro.core.task import TaskGroup
+from repro.workloads.quicksort import _partition, sort_task
 from repro.workloads.barnes_hut import build_tree, _accel_on
 from repro.workloads.dijkstra import _reference as dijkstra_reference
 from repro.workloads.generators import (adjacency_lists, params_for,
-                                        random_bodies, random_graph)
+                                        random_array, random_bodies,
+                                        random_graph)
 
 
 def run_on(name, cfg, scale="tiny", seed=0):
@@ -88,14 +91,33 @@ class TestQuicksortDetails:
         assert output == sorted(output)
 
     def test_duplicate_heavy_input(self):
-        workload = get_workload("quicksort", scale="tiny", seed=0, n=150)
-        # Overwrite with a duplicate-heavy array via a fresh instance.
-        from repro.workloads.quicksort import make_shared
+        data = np.random.default_rng(3).integers(0, 8, size=300).tolist()
+        assert 1 - len(set(data)) / len(data) >= 0.9
+        arr = list(data)
 
-        w = make_shared(n=150, seed=3)
-        machine = build_machine(shared_mesh(4))
-        result = machine.run(w.root)
-        w.verify(result["output"])
+        def root(ctx):
+            group = TaskGroup("qsort")
+            yield from sort_task(ctx, arr, 0, len(arr), group)
+            yield ctx.join(group)
+
+        build_machine(shared_mesh(4)).run(root)
+        assert all(a <= b for a, b in zip(arr, arr[1:]))
+        assert Counter(arr) == Counter(data)
+
+    @pytest.mark.parametrize("memory", ["shared", "distributed"])
+    def test_verifier_rejects_near_misses(self, memory):
+        workload = get_workload("quicksort", scale="tiny", seed=0,
+                                memory=memory)
+        good = np.sort(random_array(workload.meta["n"], seed=0)).tolist()
+        workload.verify(good)
+        # The first step up in the sorted output: good[i] < good[i + 1].
+        i = next(k for k in range(len(good) - 1) if good[k] < good[k + 1])
+        swapped = good[:i] + [good[i + 1], good[i]] + good[i + 2:]
+        neighbour = good[:i] + [good[i + 1]] + good[i + 1:]
+        assert neighbour == sorted(neighbour)  # sorted, wrong multiset
+        for bad in (swapped, neighbour, good[:-1], good + [good[-1]], []):
+            with pytest.raises(AssertionError):
+                workload.verify(bad)
 
 
 class TestDijkstraDetails:
