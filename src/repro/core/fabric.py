@@ -37,8 +37,6 @@ import math
 from array import array
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from .soa import CoreStateArrays
 from ..network.topology import Topology
 
@@ -140,7 +138,6 @@ class VirtualTimeFabric:
         self._exact = shadow_enabled and shadow_mode == "exact"
         self.max_vtime = 0.0
         self.shadow_recomputes = 0
-        self._min_degree = soa.min_degree
         #: Cached lower bound on each core's drift floor (see
         #: ``SpatialSync.may_run``): publish increases keep a lower
         #: bound trivially valid, and every event that can *lower* a
@@ -475,17 +472,8 @@ class VirtualTimeFabric:
                     stack.append(j)
 
     def _full_recompute(self) -> None:
-        """Exact shadow fixpoint: ``min over active cores a of
-        (vtime(a) + T * hops(i, a))`` for every idle core ``i``.
-
-        Large regular topologies use a vectorized Bellman-Ford-style
-        min-relaxation over a CSR adjacency (``np.minimum.reduceat``):
-        every hop adds ``T`` with the same left-to-right float
-        accumulation as the heap-based Dijkstra, so both paths produce
-        bit-identical fixpoints.  Small or degenerate (isolated-core)
-        topologies keep the heap path, where the O(E log V) constant
-        beats vectorization overheads.
-        """
+        """Publish the exact shadow fixpoint (:func:`exact_shadow_fixpoint`)
+        and notify every core whose published time changed."""
         self.shadow_recomputes += 1
         tel = self.telemetry
         if tel is not None:
@@ -496,45 +484,13 @@ class VirtualTimeFabric:
         # exact fixpoint; cached floor lower bounds are no longer valid.
         if self._floor_cache_on:
             self.soa.floor_lb_np.fill(-INF)
-        if self.n_cores < 64 or self._min_degree == 0:
-            self._full_recompute_heap()
-            return
-        soa = self.soa
-        active = soa.active_np.astype(bool)
-        vtime = soa.vtime_np
-        pub = np.where(active, vtime, INF)
-        indices = soa.csr_indices_np
-        offsets = soa.csr_offsets_np[:-1]
-        T = self.T
-        # Fixpoint in at most eccentricity+1 sweeps; each sweep gathers
-        # every core's neighbour minimum in one reduceat.
-        for _ in range(self.n_cores + 1):
-            cand = np.minimum.reduceat(pub[indices], offsets) + T
-            new = np.where(active, pub, np.minimum(pub, cand))
-            if np.array_equal(new, pub):
-                break
-            pub = new
-        result = pub.tolist()
-        published = self.published
-        if self.on_publish_increase is None:
-            soa.published_np[:] = pub
-            return
-        changed = [c for c in range(self.n_cores)
-                   if result[c] != published[c]]
-        soa.published_np[:] = pub
-        for c in changed:
-            self._notify(c)
-
-    def _full_recompute_heap(self) -> None:
-        """Heap-based exact fixpoint (see :func:`exact_shadow_fixpoint`)."""
         pub = exact_shadow_fixpoint(
             self._neighbors, self.active, self.vtime, self.T)
         published = self.published
-        if self.on_publish_increase is None:
-            published[:] = array("d", pub)
-            return
-        changed = [c for c in range(self.n_cores)
-                   if pub[c] != published[c]]
+        changed = ()
+        if self.on_publish_increase is not None:
+            changed = [c for c in range(self.n_cores)
+                       if pub[c] != published[c]]
         published[:] = array("d", pub)
         for c in changed:
             self._notify(c)

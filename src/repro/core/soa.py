@@ -15,8 +15,8 @@ Columns are ``array.array`` instances rather than numpy ndarrays:
 scalar indexing on an ``array('d')`` costs about half of boxing a numpy
 scalar, which matters because the engine's innermost loops index single
 cores, while the buffer protocol still gives zero-copy numpy views
-(``vtime_np`` etc.) for the bulk operations (plane publication, shadow
-fixpoints).  The views write through to the same memory, so scalar and
+(``vtime_np`` etc.) for the bulk operations (plane publication, floor-cache
+resets).  The views write through to the same memory, so scalar and
 vector code paths can never disagree.
 """
 
@@ -47,7 +47,7 @@ _NP_DTYPES = {"d": np.float64, "b": np.int8}
 
 
 class CoreStateArrays:
-    """Typed per-core state columns plus the CSR adjacency of the mesh.
+    """Typed per-core state columns plus the mesh's neighbour tuples.
 
     Example::
 
@@ -57,11 +57,7 @@ class CoreStateArrays:
     """
 
     __slots__ = tuple(name for name, _, _ in COLUMNS) + tuple(
-        f"{name}_np" for name, _, _ in COLUMNS) + (
-        "n", "neighbors",
-        "csr_indices", "csr_offsets", "csr_indices_np", "csr_offsets_np",
-        "min_degree",
-    )
+        f"{name}_np" for name, _, _ in COLUMNS) + ("n", "neighbors")
 
     def __init__(self, n: int, neighbors: Sequence[Sequence[int]]) -> None:
         if len(neighbors) != n:
@@ -73,18 +69,6 @@ class CoreStateArrays:
             setattr(self, name, col)
             setattr(self, f"{name}_np",
                     np.frombuffer(col, dtype=_NP_DTYPES[code]))
-        # CSR adjacency (int64 for direct use by numpy gathers).
-        indices: List[int] = []
-        offsets: List[int] = [0]
-        for nbrs in self.neighbors:
-            indices.extend(nbrs)
-            offsets.append(len(indices))
-        self.csr_indices = array("q", indices) if indices else array("q")
-        self.csr_offsets = array("q", offsets)
-        self.csr_indices_np = np.frombuffer(self.csr_indices, dtype=np.int64) \
-            if indices else np.empty(0, dtype=np.int64)
-        self.csr_offsets_np = np.frombuffer(self.csr_offsets, dtype=np.int64)
-        self.min_degree = min(map(len, self.neighbors), default=0)
 
     def check_view_coherence(self) -> None:
         """Assert every numpy view aliases its backing column bit-exactly.

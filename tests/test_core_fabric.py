@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -286,28 +287,91 @@ def _random_adjacency(n, seed):
     return mat
 
 
+def _with_isolated_core(mat):
+    """``mat`` plus one last core that has no link at all."""
+    return [row + [0] for row in mat] + [[0] * (len(mat) + 1)]
+
+
+def _bfs_oracle(neighbors, active, vtime, T):
+    """The shadow fixpoint without ``exact_shadow_fixpoint``: for every
+    active source a BFS gives each idle core its hop count ``h`` (a wave
+    stops at active cores, which publish their own time), the source's
+    vtime takes the left-to-right ``+ T`` fold ``h`` times, and each core
+    keeps the minimum over sources.  Idle cores no source reaches stay
+    ``inf``."""
+    n = len(neighbors)
+    pub = [vtime[c] if active[c] else INF for c in range(n)]
+    for src in range(n):
+        if not active[src]:
+            continue
+        hops = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for j in neighbors[x]:
+                    if not active[j] and j not in hops:
+                        hops[j] = hops[x] + 1
+                        nxt.append(j)
+            frontier = nxt
+        for c, h in hops.items():
+            value = vtime[src]
+            for _ in range(h):
+                value = value + T
+            if value < pub[c]:
+                pub[c] = value
+    return pub
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
 @pytest.mark.parametrize("share", [0.05, 0.5, 0.9], ids=["5pc", "50pc", "90pc"])
 @pytest.mark.parametrize("topo", [
     square_mesh(64), square_mesh(256), square_mesh(1024), torus2d(8),
     from_adjacency(_random_adjacency(96, 0)),
-], ids=["mesh64", "mesh256", "mesh1024", "torus8x8", "adjacency96"])
-def test_vectorized_recompute_matches_heap_fixpoint(topo, share):
-    """The vectorized ``_full_recompute`` (``np.minimum.reduceat``, taken
-    at >= 64 cores with no isolated core) and the heap
-    ``exact_shadow_fixpoint`` agree bit for bit (docs/internals.md §7).
-    Seeded vtimes come from a small set, so sources tie; T is not a
-    binary fraction, so per-hop accumulation order shows in the bits."""
+    from_adjacency(_with_isolated_core(_random_adjacency(96, 0))),
+], ids=["mesh64", "mesh256", "mesh1024", "torus8x8", "adjacency96",
+        "isolated97"])
+def test_refresh_shadows_matches_bfs_oracle(topo, share):
+    """A rescue recompute publishes the exact shadow fixpoint bit for bit
+    (checked with ``float.hex``) against :func:`_bfs_oracle`, notifies
+    exactly the cores whose published time changed, and the coordinator's
+    call on numpy planes returns the same list.  Seeded vtimes come from
+    a small set, so sources tie; T is not a binary fraction, so per-hop
+    accumulation order shows in the bits.  A core with no link is never
+    activated: it stays idle and unreachable."""
     n = topo.n_cores
     rng = random.Random(n + int(share * 100))
     T = 100.0 / 3.0
-    fabric = make_fabric(topo, T=T, mode="fast")
-    assert n >= 64 and fabric._min_degree >= 1  # the vectorized path
-    for c in rng.sample(range(n), max(1, int(n * share))):
-        fabric.set_active(c, rng.choice((0.0, 12.5, 99.9, 250.0, 1e3 / 7)))
+    notified = []
+    fabric = make_fabric(topo, T=T, mode="fast", hook=notified.append)
+    linked = [c for c in range(n) if fabric._neighbors[c]]
+    sources = rng.sample(linked, max(1, int(n * share)))
+    starts = [rng.choice((0.0, 12.5, 99.9, 250.0, 1e3 / 7)) for _ in sources]
+    # Departed sources leave stale fast-mode shadows for the recompute
+    # to raise, where the new sources only lower INF shadows.
+    departed = rng.sample(linked, max(1, n // 20))
+    for c in departed:
+        fabric.set_active(c, 0.0)
+    for c in departed:
+        fabric.set_idle(c)
+    for c, start in zip(sources, starts):
+        fabric.set_active(c, start)
+    before = list(fabric.published)
+    notified.clear()
     fabric.refresh_shadows()
-    expected = exact_shadow_fixpoint(fabric._neighbors, fabric.active,
-                                     fabric.vtime, T)
-    assert list(fabric.published) == expected
+    after = list(fabric.published)
+    expected = _bfs_oracle(fabric._neighbors, fabric.active, fabric.vtime, T)
+    assert _hex(after) == _hex(expected)
+    assert notified == [c for c in range(n) if after[c] != before[c]]
+    assert all(after[c] == INF for c in range(n) if not fabric._neighbors[c])
+    planes = exact_shadow_fixpoint(
+        fabric._neighbors, np.array(fabric.active, dtype=np.int8),
+        np.array(fabric.vtime, dtype=np.float64), T)
+    assert all(type(v) is float for v in planes)
+    assert _hex(planes) == _hex(expected)
 
 
 @pytest.mark.parametrize("shadow", [True, False], ids=["shadows", "bare"])

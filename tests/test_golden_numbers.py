@@ -1,7 +1,7 @@
 """Golden-numbers regression test for the engine hot path.
 
 The hot-path optimisations (arrival-ordered inbox heap, dispatch caching,
-NoC route memoisation, numpy fabric) must be
+NoC route memoisation, struct-of-arrays core state) must be
 behaviour-preserving: the virtual-time results of a simulation are part of
 the engine's contract.  This test pins ``completion_vtime``, per-kind
 message counts, drift-stall counts and action counts for a matrix of
@@ -223,6 +223,63 @@ def test_golden_numbers_sanitized_on_the_shipped_path(run):
     assert _observables(machine.stats) == EXPECTED["-".join(map(str, run))]
 
 
+# -- the exact shadow fixpoint at 64 cores ---------------------------------
+#
+# The rows above run at 8 or 16 cores, where rescues are rare.  These two
+# 64-core rows run the exact shadow fixpoint hundreds of times on real
+# traffic: conservative sync's rescue rounds, and spatial sync with
+# ``shadow_mode="exact"`` (the shadow ablation's exact arm).  Captured at
+# commit 02b3403.
+
+#: (benchmark, memory, sync policy, cores, scale, seed, config overrides)
+FIXPOINT_GOLDEN_RUNS = (
+    ("octree", "shared", "conservative", 64, "tiny", 0, {}),
+    ("octree", "shared", "spatial", 64, "tiny", 0, {"shadow_mode": "exact"}),
+)
+
+
+def _fixpoint_key(run):
+    return "-".join(map(str, run[:6] + tuple(run[6].values())))
+
+
+EXPECTED_FIXPOINT = {
+    "octree-shared-conservative-64-tiny-0": {
+        "completion_vtime": 3197.0,
+        "drift_stalls": 7628,
+        "actions": 692,
+        "messages": {
+            "joiner_request": 1,
+            "probe": 138,
+            "probe_ack": 115,
+            "probe_nack": 23,
+            "queue_state": 1074,
+            "task_spawn": 115,
+        },
+    },
+    "octree-shared-spatial-64-tiny-0-exact": {
+        "completion_vtime": 3961.0,
+        "drift_stalls": 94,
+        "actions": 692,
+        "messages": {
+            "joiner_request": 1,
+            "probe": 138,
+            "probe_ack": 125,
+            "probe_nack": 13,
+            "queue_state": 1009,
+            "task_spawn": 125,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("run", FIXPOINT_GOLDEN_RUNS, ids=_fixpoint_key)
+def test_golden_numbers_through_the_exact_fixpoint(run):
+    machine = golden_machine(*run[:6], **run[6])
+    # Pins the row to the code path it exists for.
+    assert machine.fabric.shadow_recomputes >= 100
+    assert _observables(machine.stats) == EXPECTED_FIXPOINT[_fixpoint_key(run)]
+
+
 # -- sharded backend ------------------------------------------------------
 #
 # The sharded backend must produce bit-identical results to the serial
@@ -340,6 +397,9 @@ if __name__ == "__main__":  # golden regeneration helper
     table = {}
     for run in GOLDEN_RUNS:
         table["-".join(map(str, run))] = run_golden(*run)
+    for run in FIXPOINT_GOLDEN_RUNS:
+        table[_fixpoint_key(run)] = _observables(
+            golden_machine(*run[:6], **run[6]).stats)
     pprint.pprint(table, sort_dicts=True)
     sharded_table = {}
     for run in SHARDED_GOLDEN_RUNS:
