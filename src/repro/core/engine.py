@@ -326,7 +326,6 @@ class Machine:
         # cores learn whether the policy needs arrival-ordered inbox
         # queries (which enables their incremental inbox heap).
         self._ordered_units = bool(getattr(policy, "ordered_units", False))
-        self._ordered_inbox = bool(getattr(policy, "ordered_inbox", False))
         self._reception_exempt = bool(
             getattr(policy, "reception_exempt", False))
         self._on_event_enqueued = getattr(policy, "on_event_enqueued", None)
@@ -356,7 +355,6 @@ class Machine:
         )
         track = (
             self._ordered_units
-            or self._ordered_inbox
             or bool(getattr(policy, "uses_event_times", False))
         )
         for core in self.cores:
@@ -1071,7 +1069,7 @@ class Machine:
                 # birth date) even while the destination is drift-stalled,
                 # or two cores can deadlock through the birth-ledger floor.
                 if reception_exempt and core.inbox:
-                    msg = self._pop_inbox(core)
+                    msg = core.inbox_pop_fifo()
                     self._process_message(core, msg)
                     budget -= 1
                     progressed = True
@@ -1086,7 +1084,7 @@ class Machine:
                 # probe replies and queue-state updates must not wait for
                 # the current task to finish, or spawn round trips inflate
                 # with the drift bound.
-                msg = self._pop_inbox(core)
+                msg = core.inbox_pop_fifo()
                 self._process_message(core, msg)
                 budget -= 1
                 progressed = True
@@ -1122,13 +1120,6 @@ class Machine:
         if observers.slice_ended is not None:
             observers.slice_ended(core, progressed)
         return progressed
-
-    def _pop_inbox(self, core: CoreUnit) -> Message:
-        """Next inbox message: host order normally, earliest-arrival order
-        under strictly ordered policies (the conservative referee)."""
-        if self._ordered_inbox and len(core.inbox) > 1:
-            return core.inbox_pop_earliest()
-        return core.inbox_pop_fifo()
 
     # -- time helpers ------------------------------------------------------
     def advance_by(self, core: CoreUnit, cycles: float) -> None:

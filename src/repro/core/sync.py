@@ -72,11 +72,10 @@ class SyncPolicy:
     #: messages).  Reception is simulator infrastructure in SiMany; strict
     #: event-ordered policies (conservative) keep it gated.
     reception_exempt = False
-    #: Whether inbox messages must be processed in arrival-timestamp order
-    #: (the conservative referee) instead of host delivery order.
-    ordered_inbox = False
     #: Whether the engine must select each core's earliest unit (message /
-    #: task step / task start) and gate it via may_run_unit.
+    #: task step / task start) and gate it via ``may_run_unit(core, t)``,
+    #: which such a policy must define.  Inbox messages are then serviced
+    #: in arrival-timestamp order instead of host delivery order.
     ordered_units = False
     #: Whether the policy queries per-core event horizons
     #: (``CoreUnit.next_event_time``); the engine then maintains the
@@ -185,9 +184,11 @@ class SpatialSync(SyncPolicy):
 class EventAnchoredPolicy(SyncPolicy):
     """Base for policies anchored on a global event horizon.
 
-    These policies execute each core's units (message servicing, task
-    steps, task starts) in timestamp order and gate each unit by its own
-    time — the engine selects the earliest unit when ``ordered_units``.
+    The horizon is the minimum over cores of each core's next event time
+    (``_core_time``).  ``ConservativeSync`` gates each unit by its own
+    timestamp through ``may_run_unit`` (it sets ``ordered_units``);
+    ``GlobalQuantumSync`` and ``BoundedSlackSync`` gate whole slices
+    through ``may_run``, as every other policy does.
 
     In a tasking model, cores go idle between tasks while their *next*
     piece of work (an undelivered message) already has a virtual
@@ -237,11 +238,6 @@ class EventAnchoredPolicy(SyncPolicy):
         else:
             self.tracker.update(core.cid, t)
 
-    def may_run_unit(self, core: CoreUnit, t: float) -> bool:
-        """Gate one execution unit (message / task step / task start) by
-        its own timestamp.  Overridden per policy."""
-        return self.may_run(core)
-
     def on_activation(self, core: CoreUnit) -> None:
         self.tracker.update(core.cid, self._core_time(core))
 
@@ -264,7 +260,6 @@ class ConservativeSync(EventAnchoredPolicy):
     """
 
     name = "conservative"
-    ordered_inbox = True
     ordered_units = True
 
     def __init__(self, epsilon: float = 1e-9) -> None:
@@ -298,11 +293,6 @@ class GlobalQuantumSync(EventAnchoredPolicy):
             return True
         return self._core_time(core) < self.epoch + self.quantum
 
-    def may_run_unit(self, core: CoreUnit, t: float) -> bool:
-        if core.locks_held > 0:
-            return True
-        return t < self.epoch + self.quantum
-
     def on_no_runnable(self) -> bool:
         new_epoch = self.tracker.min()
         if math.isinf(new_epoch) or new_epoch <= self.epoch:
@@ -331,14 +321,6 @@ class BoundedSlackSync(EventAnchoredPolicy):
         if math.isinf(gmin):
             return True
         return self._core_time(core) <= gmin + self.slack
-
-    def may_run_unit(self, core: CoreUnit, t: float) -> bool:
-        if core.locks_held > 0:
-            return True
-        gmin = self.tracker.min()
-        if math.isinf(gmin):
-            return True
-        return t <= gmin + self.slack
 
     def bound_label(self, machine: "Machine") -> str:
         return f"slack={self.slack:g}"
@@ -408,16 +390,20 @@ class UnboundedSync(SyncPolicy):
         return True
 
 
+#: Every policy ``make_policy`` can build, by name.
+POLICIES = {
+    "spatial": SpatialSync,
+    "conservative": ConservativeSync,
+    "quantum": GlobalQuantumSync,
+    "bounded_slack": BoundedSlackSync,
+    "laxp2p": LaxP2PSync,
+    "unbounded": UnboundedSync,
+}
+
+
 def make_policy(name: str, **kwargs) -> SyncPolicy:
     """Factory: build a sync policy by name."""
-    table = {
-        "spatial": SpatialSync,
-        "conservative": ConservativeSync,
-        "quantum": GlobalQuantumSync,
-        "bounded_slack": BoundedSlackSync,
-        "laxp2p": LaxP2PSync,
-        "unbounded": UnboundedSync,
-    }
-    if name not in table:
-        raise ValueError(f"unknown sync policy {name!r}; choose from {sorted(table)}")
-    return table[name](**kwargs)
+    if name not in POLICIES:
+        raise ValueError(
+            f"unknown sync policy {name!r}; choose from {sorted(POLICIES)}")
+    return POLICIES[name](**kwargs)

@@ -2,12 +2,11 @@
 
 from .caches import CycleLevelMemory
 from .pipeline import PIPELINE_DEPTH, PipelineModel
-from .simulator import build_cycle_level_machine, cycle_level_config
+from .simulator import build_cycle_level_machine
 
 __all__ = [
     "CycleLevelMemory",
     "PIPELINE_DEPTH",
     "PipelineModel",
     "build_cycle_level_machine",
-    "cycle_level_config",
 ]

@@ -22,28 +22,11 @@ from typing import Optional, Sequence
 
 from .caches import CycleLevelMemory
 from .pipeline import PipelineModel
-from ..arch.config import ArchConfig, POLY_FAST_FACTOR, POLY_SLOW_FACTOR
+from ..arch.config import POLY_FAST_FACTOR, POLY_SLOW_FACTOR
 from ..core.engine import EngineParams, Machine
 from ..core.sync import ConservativeSync
 from ..network.topology import square_mesh
 from ..runtime.runtime import Runtime
-
-
-def cycle_level_config(
-    n_cores: int, polymorphic: bool = False, seed: int = 0
-) -> ArchConfig:
-    """Declarative description of a referee machine (for reports)."""
-    return ArchConfig(
-        name=f"cycle-level-{n_cores}{'p' if polymorphic else ''}",
-        n_cores=n_cores,
-        topology="mesh",
-        memory="shared",
-        coherence_enabled=True,
-        polymorphic=polymorphic and n_cores > 1,
-        sync="conservative",
-        scale_l1_with_core=False,
-        seed=seed,
-    )
 
 
 def build_cycle_level_machine(

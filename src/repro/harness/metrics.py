@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -40,33 +40,6 @@ def mean_speedup_curves(curves: Sequence[Mapping[int, float]]) -> Dict[int, floa
         if set(curve) != sizes:
             raise ValueError("curves cover different core counts")
     return {n: float(np.mean([c[n] for c in curves])) for n in sorted(sizes)}
-
-
-def speedup_distribution(
-    curves: Sequence[Mapping[int, float]]
-) -> Dict[int, Dict[str, float]]:
-    """Per-size distribution of speedups over datasets.
-
-    The paper averages 50 datasets per benchmark; this reports, for each
-    core count, the mean, standard deviation, min and max across the
-    dataset curves, so exploration tables can carry error bars.
-    """
-    if not curves:
-        raise ValueError("no curves")
-    sizes = set(curves[0])
-    for curve in curves[1:]:
-        if set(curve) != sizes:
-            raise ValueError("curves cover different core counts")
-    out: Dict[int, Dict[str, float]] = {}
-    for n in sorted(sizes):
-        values = np.array([curve[n] for curve in curves], dtype=float)
-        out[n] = {
-            "mean": float(values.mean()),
-            "std": float(values.std(ddof=1)) if len(values) > 1 else 0.0,
-            "min": float(values.min()),
-            "max": float(values.max()),
-        }
-    return out
 
 
 def relative_error(value: float, reference: float) -> float:
@@ -123,38 +96,6 @@ def power_law_fit(points: Mapping[int, float]) -> Tuple[float, float]:
         raise ValueError("power-law fit needs positive data")
     slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(np.exp(intercept)), float(slope)
-
-
-def amdahl_fit(curve: Mapping[int, float]) -> Tuple[float, float]:
-    """Fit Amdahl's law to a speedup curve; returns (serial_fraction, rmse).
-
-    ``speedup(n) = 1 / (s + (1 - s) / n)``.  The serial fraction ``s`` is
-    the scalar summary of why a benchmark's curve flattens — Quicksort's
-    first partition pass, for example, predicts ``s ≈ 2/log2(n)``.
-    Super-linear curves (Dijkstra) produce ``s ≤ 0``-ish fits with large
-    residuals, which is itself diagnostic.
-    """
-    points = [(n, sp) for n, sp in curve.items() if n >= 1 and sp > 0]
-    if len(points) < 2:
-        raise ValueError("need at least two points to fit Amdahl's law")
-
-    def rmse_for(s: float) -> float:
-        err = 0.0
-        for n, sp in points:
-            predicted = 1.0 / (s + (1.0 - s) / n)
-            err += (predicted - sp) ** 2
-        return math.sqrt(err / len(points))
-
-    # 1-D golden-section-ish scan: s in [0, 1] is unimodal enough for this
-    # diagnostic use; refine by bisection on a coarse grid winner.
-    best_s = min((rmse_for(s / 1000.0), s / 1000.0) for s in range(0, 1001))
-    s = best_s[1]
-    step = 1e-3
-    while step > 1e-7:
-        candidates = [max(0.0, s - step), s, min(1.0, s + step)]
-        s = min(candidates, key=rmse_for)
-        step /= 2
-    return s, rmse_for(s)
 
 
 def percent_change(value: float, baseline: float) -> float:

@@ -166,14 +166,3 @@ def format_telemetry(snapshot: Dict, top: int = 12) -> str:
 
     return "\n".join(lines) if lines else "(empty telemetry snapshot)"
 
-
-def dump_csv(curves: Mapping[str, Mapping[int, float]],
-             sizes: Sequence[int]) -> str:
-    """CSV export of a curve family (for external plotting)."""
-    lines = ["benchmark," + ",".join(str(n) for n in sizes)]
-    for name in sorted(curves):
-        lines.append(
-            name + "," + ",".join(
-                f"{curves[name].get(n, float('nan')):.6g}" for n in sizes)
-        )
-    return "\n".join(lines)

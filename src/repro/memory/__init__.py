@@ -1,7 +1,7 @@
 """Memory hierarchy substrate: caches, coherence, shared and distributed models."""
 
 from .base import MemoryModel
-from .cache import CacheStats, LruCache, PessimisticL1
+from .cache import CacheStats, LruCache
 from .cells import Cell, Link
 from .coherence import CoherenceModel, CoherenceStats
 from .distmem import DEFAULT_L2_LATENCY, DistributedMemoryModel
@@ -25,7 +25,6 @@ __all__ = [
     "LruCache",
     "MemoryModel",
     "NumaMemoryModel",
-    "PessimisticL1",
     "stable_home",
     "SharedMemoryModel",
 ]

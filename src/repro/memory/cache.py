@@ -82,30 +82,3 @@ class LruCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-
-class PessimisticL1:
-    """The paper's L1 model: 1-cycle hits, no retention across blocks.
-
-    Hit/miss split comes from the workload's own annotation
-    (``l1_hit_fraction``), not from residency tracking.
-    """
-
-    def __init__(self, hit_latency: float = 1.0) -> None:
-        if hit_latency < 0:
-            raise ValueError("hit latency must be non-negative")
-        self.hit_latency = hit_latency
-        self.stats = CacheStats()
-
-    def access_cost(
-        self, n_accesses: float, hit_fraction: float, miss_latency: float
-    ) -> float:
-        """Aggregate cost of ``n_accesses`` with annotated locality."""
-        if n_accesses < 0:
-            raise ValueError("access count must be non-negative")
-        if not 0.0 <= hit_fraction <= 1.0:
-            raise ValueError("hit fraction must be within [0, 1]")
-        hits = n_accesses * hit_fraction
-        misses = n_accesses - hits
-        self.stats.hits += int(hits)
-        self.stats.misses += int(misses)
-        return hits * self.hit_latency + misses * miss_latency

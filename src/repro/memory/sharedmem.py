@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .base import MemoryModel
-from .cache import PessimisticL1
 from .cells import Cell, Link
 from .coherence import CoherenceModel
 
@@ -45,7 +44,6 @@ class SharedMemoryModel(MemoryModel):
         self.coherence = coherence
         self.scale_l1_with_core = scale_l1_with_core
         self.atomic_op_cycles = atomic_op_cycles
-        self.l1 = PessimisticL1(hit_latency=l1_latency)
 
     def access(self, core, action) -> float:
         n = action.reads + action.writes
@@ -57,8 +55,6 @@ class SharedMemoryModel(MemoryModel):
         hits = n * action.l1_hit_fraction
         misses = n - hits
         cost = hits * l1_hit + misses * self.bank_latency
-        self.l1.stats.hits += int(hits)
-        self.l1.stats.misses += int(misses)
         if self.coherence is not None and action.obj is not None:
             cost += self.coherence.penalty(
                 core.cid, action.obj, action.reads, action.writes

@@ -45,8 +45,6 @@ class Link:
     spec: LinkSpec
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
     busy_until: float = 0.0
-    messages: int = field(default=0)
-    bytes_carried: float = field(default=0.0)
     contention_cycles: float = field(default=0.0)
     #: Serialization times by message size: the protocol uses a handful
     #: of fixed sizes, so every traversal after the first is a dict hit.
@@ -82,13 +80,9 @@ class Link:
             self.contention_cycles += start - ready_time
         serialization = self.serialization_time(size_bytes)
         self.busy_until = start + serialization
-        self.messages += 1
-        self.bytes_carried += size_bytes
         return start + self.spec.latency + serialization
 
     def reset(self) -> None:
         """Clear run-time state (between simulations)."""
         self.busy_until = 0.0
-        self.messages = 0
-        self.bytes_carried = 0.0
         self.contention_cycles = 0.0

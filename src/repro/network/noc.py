@@ -164,23 +164,3 @@ class Noc:
         for entry in self._route_cache.values():
             entry[4] = 0.0
         self.stats = NocStats()
-
-    def link_utilization(self) -> Dict[Tuple[int, int], float]:
-        """Bytes carried per directed link (for hotspot analysis)."""
-        return {k: link.bytes_carried for k, link in self._links.items()}
-
-    def hotspots(self, k: int = 5) -> list:
-        """The ``k`` busiest directed links: (src, dst, bytes, contention).
-
-        Routing-induced hotspots are the classic many-core design hazard;
-        this is the view an architect checks after changing a topology.
-        """
-        ranked = sorted(
-            self._links.items(),
-            key=lambda item: item[1].bytes_carried,
-            reverse=True,
-        )
-        return [
-            (u, v, link.bytes_carried, link.contention_cycles)
-            for (u, v), link in ranked[:k]
-        ]

@@ -50,7 +50,6 @@ class Partition:
         # Filled in by contiguous_partition (needs the topology).
         self._proxies: Tuple[Tuple[int, ...], ...] = ()
         self._boundary: Tuple[Tuple[int, ...], ...] = ()
-        self._peers: Tuple[Tuple[int, ...], ...] = ()
 
     # -- queries ---------------------------------------------------------
     def owner_of(self, cid: int) -> int:
@@ -76,20 +75,6 @@ class Partition:
         neighbour; their published times must be shipped to peers at
         every round barrier."""
         return self._boundary[sid]
-
-    def peers_of(self, sid: int) -> Tuple[int, ...]:
-        """Shard ids topologically adjacent to shard ``sid``."""
-        return self._peers[sid]
-
-    def shard_pairs(self) -> List[Tuple[int, int]]:
-        """Adjacent shard pairs ``(s1, s2)`` with ``s1 < s2``; one
-        bidirectional channel is created per pair."""
-        pairs = []
-        for sid in range(self.n_shards):
-            for peer in self._peers[sid]:
-                if sid < peer:
-                    pairs.append((sid, peer))
-        return pairs
 
     def remap_home(self, home: int, creator_cid: int) -> int:
         """Map a distributed-cell home core into the creator's shard.
@@ -144,23 +129,18 @@ def contiguous_partition(topo: Topology, n_shards: int) -> Partition:
     owner = part.owner
     proxies: List[Tuple[int, ...]] = []
     boundary: List[Tuple[int, ...]] = []
-    peers: List[Tuple[int, ...]] = []
     for sid, cores in enumerate(part.shards):
         prox: Dict[int, None] = {}
         bound: Dict[int, None] = {}
-        peer: Dict[int, None] = {}
         for cid in cores:
             for j in topo.neighbors(cid):
                 if owner[j] != sid:
                     prox[j] = None
                     bound[cid] = None
-                    peer[owner[j]] = None
         proxies.append(tuple(sorted(prox)))
         boundary.append(tuple(sorted(bound)))
-        peers.append(tuple(sorted(peer)))
     part._proxies = tuple(proxies)
     part._boundary = tuple(boundary)
-    part._peers = tuple(peers)
 
     _validate_connected(topo, part)
     return part

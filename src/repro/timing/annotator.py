@@ -41,29 +41,6 @@ class Block:
         if self.cond_branches < 0 or self.static_exits < 0:
             raise ValueError("branch counts must be non-negative")
 
-    def scaled(self, factor: float) -> "Block":
-        """A block repeated ``factor`` times (e.g. a loop body x trip count)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return Block(
-            name=self.name,
-            instr_counts={k: v * factor for k, v in self.instr_counts.items()},
-            cond_branches=self.cond_branches * factor,
-            static_exits=self.static_exits * factor,
-        )
-
-    def merged(self, other: "Block", name: Optional[str] = None) -> "Block":
-        """Concatenate two blocks into one annotation."""
-        counts: Dict[InstrClass, float] = dict(self.instr_counts)
-        for klass, count in other.instr_counts.items():
-            counts[klass] = counts.get(klass, 0.0) + count
-        return Block(
-            name=name or f"{self.name}+{other.name}",
-            instr_counts=counts,
-            cond_branches=self.cond_branches + other.cond_branches,
-            static_exits=self.static_exits + other.static_exits,
-        )
-
 
 class BlockAnnotator:
     """Computes virtual-time costs of blocks for one core.

@@ -33,9 +33,10 @@ asserts:
     per-channel FIFO on the receiving side, and must carry finite
     times — this is the guard against codec corruption on the wire.
 ``ordered-inbox``
-    Policies promising arrival-order processing
-    (``SyncPolicy.ordered_inbox``) turn the engine's out-of-order
-    *counter* into a hard failure.
+    Policies that execute units in timestamp order
+    (``SyncPolicy.ordered_units``, the conservative referee) also
+    promise arrival-order message servicing; they turn the engine's
+    out-of-order *counter* into a hard failure.
 ``window-lift``
     The sharded round protocol's lift must stay within the grant the
     adaptive window is allowed to make:
@@ -100,7 +101,7 @@ class Sanitizer:
             # Exact mode recomputes shadows: no monotone promise.
             events["advanced"] = self._check_publish
             events["rescue"] = self._restart_publish_baseline
-        if getattr(policy, "ordered_inbox", False):
+        if getattr(policy, "ordered_units", False):
             events["serviced"] = self._check_ordered_inbox
         machine.subscribe(**events)
 

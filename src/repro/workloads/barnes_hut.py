@@ -215,180 +215,6 @@ def _flatten(node: BHNode, out: List[BHNode]) -> None:
         _flatten(child, out)
 
 
-# -- phase 1 (extension): parallel tree build --------------------------------
-#
-# The paper reports only phase 2, assuming the built tree was broadcast.
-# This extension simulates the build phase too, using the standard domain
-# decomposition: the root pre-splits into octants, one build task per
-# octant constructs its subtree independently (no shared state), and the
-# center-of-mass summarization runs per subtree before a final combine.
-
-#: Insertion work per (body, level) step: octant selection + pointer chase.
-INSERT_STEP = Block(
-    "bh-insert",
-    instr_counts={InstrClass.FP_ADD: 3, InstrClass.INT_ALU: 6,
-                  InstrClass.LOAD: 3, InstrClass.STORE: 1},
-    cond_branches=3,
-)
-#: Center-of-mass accumulation per node.
-SUMMARIZE_NODE = Block(
-    "bh-summarize",
-    instr_counts={InstrClass.FP_ADD: 9, InstrClass.FP_MUL: 6,
-                  InstrClass.FP_DIV: 1, InstrClass.LOAD: 4,
-                  InstrClass.STORE: 4},
-)
-
-
-def _presplit_root() -> BHNode:
-    """A root whose eight octants exist up front (parallel decomposition)."""
-    root = BHNode(-1, (0.5, 0.5, 0.5), 0.5)
-    for oct_id in range(8):
-        dx = 0.25 if oct_id & 1 else -0.25
-        dy = 0.25 if oct_id & 2 else -0.25
-        dz = 0.25 if oct_id & 4 else -0.25
-        root.children.append(BHNode(
-            -(oct_id + 2), (0.5 + dx, 0.5 + dy, 0.5 + dz), 0.25))
-    return root
-
-
-def _octant_of(root: BHNode, body: Body) -> int:
-    return ((body.x >= root.center[0])
-            | ((body.y >= root.center[1]) << 1)
-            | ((body.z >= root.center[2]) << 2))
-
-
-def _insert_into(node: BHNode, bodies: List[Body], idx: int,
-                 depth: int = 0, steps: Optional[List[int]] = None) -> None:
-    """Sequential insertion into a subtree (shared by build + reference)."""
-    if steps is not None:
-        steps[0] += 1
-    if not node.children and (len(node.bodies) < LEAF_CAP or depth > 24):
-        node.bodies.append(idx)
-        return
-    if not node.children:
-        old = node.bodies
-        node.bodies = []
-        for oct_id in range(8):
-            dx = 0.5 if oct_id & 1 else -0.5
-            dy = 0.5 if oct_id & 2 else -0.5
-            dz = 0.5 if oct_id & 4 else -0.5
-            h = node.half / 2
-            node.children.append(BHNode(
-                -1,
-                (node.center[0] + dx * h, node.center[1] + dy * h,
-                 node.center[2] + dz * h),
-                h,
-            ))
-        for other in old:
-            _insert_subtree(node, bodies, other, depth, None)
-    _insert_subtree(node, bodies, idx, depth, steps)
-
-
-def _insert_subtree(node: BHNode, bodies: List[Body], idx: int,
-                    depth: int, steps: Optional[List[int]]) -> None:
-    body = bodies[idx]
-    oct_id = ((body.x >= node.center[0])
-              | ((body.y >= node.center[1]) << 1)
-              | ((body.z >= node.center[2]) << 2))
-    _insert_into(node.children[oct_id], bodies, idx, depth + 1, steps)
-
-
-def _summarize(node: BHNode, bodies: List[Body],
-               count: Optional[List[int]] = None) -> None:
-    """Bottom-up center-of-mass computation (reference + kernel)."""
-    if count is not None:
-        count[0] += 1
-    if not node.children:
-        mass = sum(bodies[i].mass for i in node.bodies)
-        if mass > 0:
-            node.com = (
-                sum(bodies[i].mass * bodies[i].x for i in node.bodies) / mass,
-                sum(bodies[i].mass * bodies[i].y for i in node.bodies) / mass,
-                sum(bodies[i].mass * bodies[i].z for i in node.bodies) / mass,
-            )
-        else:
-            node.com = node.center
-        node.mass = mass
-        return
-    total = 0.0
-    acc = [0.0, 0.0, 0.0]
-    for child in node.children:
-        _summarize(child, bodies, count)
-        total += child.mass
-        acc[0] += child.mass * child.com[0]
-        acc[1] += child.mass * child.com[1]
-        acc[2] += child.mass * child.com[2]
-    node.mass = total
-    node.com = ((acc[0] / total, acc[1] / total, acc[2] / total)
-                if total > 0 else node.center)
-
-
-def build_task(ctx, bodies: List[Body], root_node: BHNode, oct_id: int,
-               indices: List[int], group: TaskGroup):
-    """Build one octant's subtree and summarize it (phase 1 worker)."""
-    subtree = root_node.children[oct_id]
-    steps = [0]
-    for idx in indices:
-        _insert_into(subtree, bodies, idx, depth=1, steps=steps)
-    yield ctx.compute(block=INSERT_STEP, repeat=steps[0])
-    yield ctx.mem(reads=2 * steps[0], writes=steps[0],
-                  obj=("bh-build", oct_id), l1_hit_fraction=0.4)
-    nodes = [0]
-    _summarize(subtree, bodies, nodes)
-    yield ctx.compute(block=SUMMARIZE_NODE, repeat=nodes[0])
-    yield ctx.mem(reads=nodes[0], writes=nodes[0],
-                  obj=("bh-build", oct_id), l1_hit_fraction=0.6)
-
-
-def parallel_build_root(bodies: List[Body]):
-    """Root task for the simulated phase-1 build; returns the tree."""
-
-    def root(ctx):
-        tree = _presplit_root()
-        octants: List[List[int]] = [[] for _ in range(8)]
-        yield ctx.compute(block=INSERT_STEP, repeat=len(bodies))
-        for idx in range(len(bodies)):
-            octants[_octant_of(tree, bodies[idx])].append(idx)
-        group = TaskGroup("bh-build")
-        for oct_id in range(8):
-            if octants[oct_id]:
-                yield from ctx.spawn_or_inline(
-                    build_task, bodies, tree, oct_id, octants[oct_id],
-                    group, group=group,
-                )
-            else:
-                # Empty octants need no task; their summary is trivial.
-                child = tree.children[oct_id]
-                child.mass = 0.0
-                child.com = child.center
-        yield ctx.join(group)
-        # Final combine at the root (eight children).
-        yield ctx.compute(block=SUMMARIZE_NODE)
-        total = sum(c.mass for c in tree.children)
-        acc = [0.0, 0.0, 0.0]
-        for child in tree.children:
-            acc[0] += child.mass * child.com[0]
-            acc[1] += child.mass * child.com[1]
-            acc[2] += child.mass * child.com[2]
-        tree.mass = total
-        tree.com = ((acc[0] / total, acc[1] / total, acc[2] / total)
-                    if total > 0 else tree.center)
-        done = yield ctx.now()
-        return {"output": tree, "work_vtime": done}
-
-    return root
-
-
-def reference_parallel_tree(bodies: List[Body]) -> BHNode:
-    """Host-side build with the identical pre-split algorithm."""
-    tree = _presplit_root()
-    for idx in range(len(bodies)):
-        oct_id = _octant_of(tree, bodies[idx])
-        _insert_into(tree.children[oct_id], bodies, idx, depth=1)
-    _summarize(tree, bodies)
-    return tree
-
-
 def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
                   bodies: Optional[int] = None, **_ignored) -> WorkloadRun:
     """Barnes-Hut (force phase) workload instance."""

@@ -1,5 +1,6 @@
 """Unit tests for synchronization policies and the min tracker."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,10 +13,13 @@ from repro.core.sync import (
     ConservativeSync,
     GlobalQuantumSync,
     LaxP2PSync,
+    POLICIES,
     SpatialSync,
     UnboundedSync,
     make_policy,
 )
+
+from conftest import fanout_root
 
 
 class TestActiveMinTracker:
@@ -132,17 +136,19 @@ class TestSpatialPolicyOnMachine:
         assert machine.stats.lock_waiver_runs == 1
 
     def test_reception_exempt_flags(self):
+        policies = {name: make_policy(name) for name in POLICIES}
         # Only spatial sync needs reception exemption: it is the only
         # policy whose drift floor depends on another core processing a
         # message (the spawn-birth ledger).
-        assert SpatialSync.reception_exempt
-        assert not GlobalQuantumSync.reception_exempt
-        assert not BoundedSlackSync.reception_exempt
-        assert not LaxP2PSync.reception_exempt
-        assert not ConservativeSync.reception_exempt
-        assert not UnboundedSync.reception_exempt
-        assert ConservativeSync.ordered_inbox
-        assert not SpatialSync.ordered_inbox
+        assert {n for n, p in policies.items() if p.reception_exempt} == {
+            "spatial"}
+        # The engine's ordered slice (earliest unit first, arrival-ordered
+        # inbox) serves the conservative referee alone, and calls
+        # may_run_unit, which the base policies do not define.
+        ordered = {n for n, p in policies.items() if p.ordered_units}
+        assert ordered == {"conservative"}
+        for name in ordered:
+            assert callable(getattr(policies[name], "may_run_unit", None))
 
 
 class TestQuantumPolicy:
@@ -182,6 +188,18 @@ class TestBoundedSlack:
         policy.on_advance(machine.cores[0])
         assert not policy.may_run(machine.cores[0])  # 15 > 0 + 10
         assert policy.may_run(machine.cores[1])
+
+
+class TestConservative:
+    def test_parallelism_sampling_asks_may_run(self):
+        # The ordered slice gates units through may_run_unit; the
+        # parallelism probe still asks every busy core's may_run.
+        cfg = dataclasses.replace(shared_mesh(4), sync="conservative",
+                                  parallelism_sample_interval=1)
+        machine = build_machine(cfg)
+        machine.run(fanout_root(8, child_cycles=100.0))
+        samples = machine.stats.parallelism_samples
+        assert samples and 1 <= max(samples) <= 4
 
 
 class TestUnbounded:

@@ -6,7 +6,6 @@ from repro.cyclelevel import (
     CycleLevelMemory,
     PipelineModel,
     build_cycle_level_machine,
-    cycle_level_config,
 )
 from repro.core.actions import MemAccess
 from repro.core.sync import ConservativeSync
@@ -99,18 +98,23 @@ class TestRefereeMachine:
         factors = [c.speed_factor for c in machine.cores]
         assert factors == [2.0, 2.0 / 3.0, 2.0, 2.0 / 3.0]
 
-    def test_config_descriptor(self):
-        cfg = cycle_level_config(16, polymorphic=True)
-        assert cfg.sync == "conservative"
-        assert cfg.coherence_enabled
-        assert not cfg.scale_l1_with_core
-
     def test_runs_validation_benchmarks(self):
         for name in ("quicksort", "spmxv"):
             workload = get_workload(name, scale="tiny", seed=0, memory="shared")
             machine = build_cycle_level_machine(4)
             result = machine.run(workload.root)
             workload.verify(result["output"])
+
+    def test_times_distributed_cell_accesses(self):
+        # Cell-based workload code runs unchanged on the referee: every
+        # cell is an L1D-resident object with coherence, never remote.
+        workload = get_workload("quicksort", scale="tiny", seed=0,
+                                memory="distributed")
+        machine = build_cycle_level_machine(4)
+        result = machine.run(workload.root)
+        workload.verify(result["output"])
+        assert machine.stats.cell_accesses > 0
+        assert machine.stats.remote_cell_accesses == 0
 
     def test_referee_and_simany_same_output(self):
         """Both simulators must compute identical program results."""

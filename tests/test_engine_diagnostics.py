@@ -1,5 +1,7 @@
 """Tests for engine diagnostics: task exceptions, describe(), deadlocks."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import build_machine, shared_mesh
@@ -73,6 +75,21 @@ class TestDescribe:
         machine = build_machine(polymorphic_shared(4))
         text = machine.describe()
         assert "0.66" in text or "2.0" in text
+
+    @pytest.mark.parametrize("sync, bound", [
+        ("spatial", " (T=100)"),
+        ("conservative", ""),
+        ("quantum", " (quantum=100)"),
+        ("bounded_slack", " (slack=100)"),
+        ("laxp2p", " (slack=100)"),
+        ("unbounded", ""),
+    ])
+    def test_sync_bound_shown(self, sync, bound):
+        # The banner `repro run --sync NAME` prints: every policy states
+        # its bound, or none when it has no single number.
+        machine = build_machine(dataclasses.replace(
+            shared_mesh(4), sync=sync))
+        assert f"  sync policy     : {sync}{bound}\n" in machine.describe()
 
 
 class TestDeadlockDiagnostics:

@@ -20,7 +20,6 @@ from repro.harness import (
     vt_speedup_curve,
 )
 from repro.harness.report import (
-    dump_csv,
     format_curves,
     format_drift_tables,
     format_power_law,
@@ -151,10 +150,3 @@ class TestAblations:
         assert set(result) == {"shadow_fast", "shadow_exact", "no_shadow"}
         for mode in result.values():
             assert mode["vtime"] > 0
-
-
-class TestCsvExport:
-    def test_roundtrip_sizes(self):
-        curves = {"a": {1: 1.0, 4: 2.0}}
-        out = dump_csv(curves, [1, 4])
-        assert "a,1,2" in out

@@ -80,11 +80,3 @@ class TestPowerLawReport:
         out = report.format_power_law({"qs": (0.5, 1.9)})
         assert "qs" in out
         assert "exponent" in out
-
-
-class TestCsv:
-    def test_dump(self):
-        out = report.dump_csv({"a": {1: 1.0, 4: 2.0}}, [1, 4])
-        lines = out.splitlines()
-        assert lines[0] == "benchmark,1,4"
-        assert lines[1].startswith("a,1,2")

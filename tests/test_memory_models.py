@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import build_machine, dist_mesh, shared_mesh
 from repro.core.actions import CellAccess, MemAccess
-from repro.memory.cache import LruCache, PessimisticL1
+from repro.memory.cache import LruCache
 from repro.memory.cells import Cell, Link
 from repro.memory.coherence import CoherenceModel
 from repro.memory.sharedmem import SharedMemoryModel
@@ -63,29 +63,6 @@ class TestLruCache:
         for key in keys:
             cache.access(key)
             assert len(cache) <= 4
-
-
-class TestPessimisticL1:
-    def test_paper_latency(self):
-        l1 = PessimisticL1()
-        assert l1.hit_latency == 1.0
-
-    def test_all_hits(self):
-        l1 = PessimisticL1()
-        assert l1.access_cost(10, 1.0, miss_latency=10.0) == 10.0
-
-    def test_all_misses(self):
-        l1 = PessimisticL1()
-        assert l1.access_cost(10, 0.0, miss_latency=10.0) == 100.0
-
-    def test_mixed(self):
-        l1 = PessimisticL1()
-        cost = l1.access_cost(10, 0.5, miss_latency=10.0)
-        assert cost == pytest.approx(5 * 1.0 + 5 * 10.0)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            PessimisticL1().access_cost(1, 1.5, 10.0)
 
 
 class TestCoherence:

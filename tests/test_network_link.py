@@ -60,20 +60,16 @@ class TestTraversal:
         link.traverse(100.0, 64)
         assert link.contention_cycles == 0.0
 
-    def test_stats_accumulate(self):
-        link = Link(LinkSpec())
-        link.traverse(0.0, 64)
-        link.traverse(1.0, 128)
-        assert link.messages == 2
-        assert link.bytes_carried == 192
-
     def test_reset(self):
         link = Link(LinkSpec())
         link.traverse(0.0, 64)
+        link.traverse(0.0, 64)
+        assert link.contention_cycles > 0.0
         link.reset()
-        assert link.messages == 0
         assert link.busy_until == 0.0
         assert link.contention_cycles == 0.0
+        assert link.traverse(0.0, 64) == pytest.approx(
+            LinkSpec().latency + link.serialization_time(64))
 
     @given(
         sizes=st.lists(st.floats(min_value=1, max_value=10_000),

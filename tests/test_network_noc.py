@@ -122,12 +122,3 @@ class TestPerSourceFifo:
             else:
                 assert arrival == depart
 
-
-class TestLinkUtilization:
-    def test_hotspot_visible(self):
-        noc = Noc(mesh2d(4, 1))
-        for _ in range(10):
-            noc.delivery_time(0, 3, 64, 0.0)
-        utilization = noc.link_utilization()
-        assert utilization[(0, 1)] == 640
-        assert utilization[(1, 2)] == 640

@@ -43,14 +43,20 @@ def test_partition_balanced_contiguous():
     assert sum(sizes) == 16 and sizes[-1] - sizes[0] <= 1
 
 
+def _neighbour_shards(part, sid):
+    """Shards owning a proxy of ``sid``: its topological neighbours."""
+    return sorted({part.owner_of(cid) for cid in part.proxies_of(sid)})
+
+
 def test_partition_boundary_structure():
     # 4x4 row-major mesh, 4 shards = 4 rows.
     part = contiguous_partition(square_mesh(16), 4)
     assert part.boundary_of(0) == (0, 1, 2, 3)
     assert part.proxies_of(0) == (4, 5, 6, 7)
-    assert part.peers_of(0) == (1,)
-    assert part.peers_of(1) == (0, 2)
-    assert part.shard_pairs() == [(0, 1), (1, 2), (2, 3)]
+    assert part.boundary_of(1) == tuple(range(4, 8))
+    assert part.proxies_of(1) == (0, 1, 2, 3, 8, 9, 10, 11)
+    assert [_neighbour_shards(part, sid) for sid in range(4)] == [
+        [1], [0, 2], [1, 3], [2]]
 
 
 def test_partition_disconnected_shard_raises():
@@ -80,13 +86,13 @@ def test_partition_non_divisible_mesh():
     assert sizes == [7, 6, 6, 6]
     assert sorted(c for s in part.shards for c in s) == list(range(25))
     # Boundary structure is symmetric: every proxy of ``sid`` is a
-    # boundary core of the shard owning it, and peer links go both ways.
+    # boundary core of the shard owning it, and that shard holds a proxy
+    # owned by ``sid`` in turn.
     for sid in range(part.n_shards):
         for cid in part.proxies_of(sid):
             owner = part.owner_of(cid)
             assert cid in part.boundary_of(owner)
-            assert sid in part.peers_of(owner)
-            assert owner in part.peers_of(sid)
+            assert sid in _neighbour_shards(part, owner)
 
 
 def test_partition_strip_mesh():
@@ -94,13 +100,15 @@ def test_partition_strip_mesh():
     # the shard adjacency degenerates to a chain.
     part = contiguous_partition(mesh2d(1, 8), 3)
     assert [len(s) for s in part.shards] == [3, 3, 2]
-    assert part.shard_pairs() == [(0, 1), (1, 2)]
+    assert [_neighbour_shards(part, sid) for sid in range(3)] == [
+        [1], [0, 2], [1]]
     assert part.boundary_of(1) == (3, 5)
     assert part.proxies_of(1) == (2, 6)
     # N shards over an N-core strip: one core each, still valid.
     part = contiguous_partition(mesh2d(1, 4), 4)
     assert part.shards == ((0,), (1,), (2,), (3,))
-    assert part.peers_of(1) == (0, 2)
+    assert part.proxies_of(1) == (0, 2)
+    assert _neighbour_shards(part, 1) == [0, 2]
 
 
 def test_partition_shards_exceed_cores():

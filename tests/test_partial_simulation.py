@@ -48,28 +48,3 @@ class TestStopAtVtime:
         machine = build_machine(shared_mesh(4))
         assert machine.run(long_root(actions=5)) == "complete"
 
-
-class TestHotspots:
-    def test_empty_before_traffic(self):
-        machine = build_machine(shared_mesh(4))
-        assert machine.noc.hotspots() == []
-
-    def test_ranked_by_bytes(self):
-        machine = build_machine(shared_mesh(8))
-        machine.run(fanout_root(12, child_cycles=500.0))
-        hot = machine.noc.hotspots(4)
-        assert hot
-        volumes = [entry[2] for entry in hot]
-        assert volumes == sorted(volumes, reverse=True)
-
-    def test_root_links_hottest(self):
-        """All spawn traffic leaves core 0: its outgoing links dominate."""
-        machine = build_machine(shared_mesh(16))
-        machine.run(fanout_root(20, child_cycles=500.0))
-        top_src = machine.noc.hotspots(2)
-        assert any(entry[0] == 0 for entry in top_src)
-
-    def test_k_limits_results(self):
-        machine = build_machine(shared_mesh(8))
-        machine.run(fanout_root(12))
-        assert len(machine.noc.hotspots(1)) == 1

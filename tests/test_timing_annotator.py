@@ -33,20 +33,6 @@ class TestBlock:
         with pytest.raises(ValueError):
             Block("b", cond_branches=-1)
 
-    def test_scaled(self):
-        block = Block("b", instr_counts={InstrClass.LOAD: 2}, cond_branches=1)
-        scaled = block.scaled(3)
-        assert scaled.instr_counts[InstrClass.LOAD] == 6
-        assert scaled.cond_branches == 3
-
-    def test_merged(self):
-        a = Block("a", instr_counts={InstrClass.INT_ALU: 1}, cond_branches=1)
-        b = Block("b", instr_counts={InstrClass.INT_ALU: 2, InstrClass.LOAD: 3})
-        merged = a.merged(b)
-        assert merged.instr_counts[InstrClass.INT_ALU] == 3
-        assert merged.instr_counts[InstrClass.LOAD] == 3
-        assert merged.cond_branches == 1
-
 
 class TestAnnotator:
     def test_base_cost_sums_classes(self):

@@ -116,6 +116,7 @@ class TestAnalysis:
         _, tracer = traced_run()
         data = tracer.export()
         assert set(data) == {"spans", "stalls", "messages"}
+        assert len(data) == 3
         assert all("core" in s for s in data["spans"])
 
     def test_gantt_renders(self):

@@ -24,7 +24,8 @@ from repro.core.errors import SanitizerViolation
 from repro.harness.trace import Tracer, trace_digest
 from repro.parallel import WorkloadSpec, channels
 from repro.parallel.coordinator import ShardedMachine
-from repro.verify.fuzzer import FuzzCase, generate_case, run_case
+from repro.verify.fuzzer import (FuzzCase, generate_case, run_case,
+                                 shrink_case)
 from repro.workloads import get_workload
 
 from conftest import fanout_root
@@ -410,3 +411,75 @@ class TestFuzzer:
                      "--sanitize"], out=out)
         assert code == 0
         assert "output verified  : yes" in out.getvalue()
+
+
+class TestShrinker:
+    """``shrink_case`` against a stub oracle: ``repro fuzz`` calls it on
+    the first failure of a sweep, which no healthy corpus produces."""
+
+    @staticmethod
+    def _case(*names):
+        return FuzzCase(seed=1, workloads=[{"name": n} for n in names])
+
+    @staticmethod
+    def _stub(verdict):
+        """A ``(case, sanitize) -> (ok, report)`` runner from a verdict
+        on the set of workload names; records the sets it was asked."""
+        calls = []
+
+        def runner(case, sanitize):
+            names = frozenset(w["name"] for w in case.workloads)
+            calls.append(names)
+            report = verdict(names)
+            return report is None, report or {}
+
+        return runner, calls
+
+    def test_drops_every_workload_the_failure_does_not_need(self):
+        runner, _ = self._stub(lambda names: (
+            {"mismatches": ["trace_digest: a != b"]} if "c" in names
+            else None))
+        shrunk = shrink_case(self._case("a", "b", "c", "d"), runner=runner)
+        assert shrunk.workloads == [{"name": "c"}]
+        assert shrunk.seed == 1
+
+    def test_refuses_a_candidate_with_another_failure_signature(self):
+        # Dropping half of the ping/echo pair still fails, but as an
+        # error: simpler, yet a different bug, so the shrink keeps both.
+        def verdict(names):
+            pair = {"ping", "echo"} & names
+            if len(pair) == 1:
+                return {"error": "SimDeadlock: recv never matched"}
+            if pair:
+                return {"mismatches": ["results: differ"]}
+            return None
+
+        runner, calls = self._stub(verdict)
+        shrunk = shrink_case(self._case("ping", "echo", "noise"),
+                             runner=runner)
+        assert [w["name"] for w in shrunk.workloads] == ["ping", "echo"]
+        # The error-signature candidates were tried, and refused.
+        assert frozenset({"echo", "noise"}) in calls
+        assert frozenset({"echo"}) in calls
+
+    def test_stops_at_budget(self):
+        case = self._case(*"abcdefghij")
+        mismatch = {"mismatches": ["completion: differ"]}
+        # Every candidate reproduces: three accepted drops, one per round.
+        runner, calls = self._stub(lambda names: mismatch)
+        shrunk = shrink_case(case, budget=3, runner=runner)
+        assert len(calls) == 1 + 3  # the original, then three candidates
+        assert len(shrunk.workloads) == 10 - 3
+        # Only the last candidate would reproduce: the budget runs out
+        # inside the first round, before it is tried.
+        runner, calls = self._stub(
+            lambda names: mismatch if "j" not in names or len(names) == 10
+            else None)
+        assert shrink_case(case, budget=3, runner=runner) is case
+        assert len(calls) == 1 + 3
+
+    def test_returns_a_passing_case_unchanged(self):
+        runner, calls = self._stub(lambda names: None)
+        case = self._case("a", "b")
+        assert shrink_case(case, runner=runner) is case
+        assert len(calls) == 1
