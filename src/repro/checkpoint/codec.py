@@ -41,7 +41,7 @@ import tempfile
 from array import array
 from typing import Any, List, Tuple
 
-from ..core.errors import SimError
+from ..core.errors import SimConfigError, SimError
 
 #: File magic for snapshot files.
 MAGIC = b"RPSNAP"
@@ -64,6 +64,11 @@ _F64 = struct.Struct("<d")
 
 class CheckpointError(SimError):
     """Base class for checkpoint failures."""
+
+
+class CheckpointIntervalError(CheckpointError, SimConfigError):
+    """``checkpoint_every`` is not a positive virtual time (a config
+    error of the run as much as a checkpoint error)."""
 
 
 class CheckpointCorruptError(CheckpointError):

@@ -69,10 +69,6 @@ def checkpoint_kwargs(cfg: ArchConfig,
     """
     kwargs: Dict = {}
     if every is not None:
-        if every <= 0:
-            raise CheckpointError(
-                f"checkpoint interval must be > 0, got {every}")
-
         def checkpoint_sink(boundary, states: List[dict]) -> None:
             sink(make_snapshot(
                 cfg.backend, cfg, specs,

@@ -36,6 +36,7 @@ from .actions import (
     TrySpawn,
     YieldCpu,
 )
+from .boundary import BoundaryRule
 from .coreunit import CoreUnit
 from .errors import (SimConfigError, SimDeadlock, SimError, SimTimeout,
                      TaskError)
@@ -156,20 +157,21 @@ class Machine:
     — most callers get a fully wired machine from
     :func:`repro.arch.build_machine` instead of calling this directly.
 
-    Two driving interfaces:
+    One step, :meth:`run_round` (unpark, re-queue stalled cores,
+    drain the ready ring up to a horizon), and two drivers of it:
 
     * ``run(root_fn)`` / ``run_roots([...])`` — the serial loop: seed
-      root tasks, interleave all cores through the ready ring until
-      everything completes, return the roots' results.
+      root tasks, then step with ``horizon = INF`` after each local
+      rescue until everything completes; return the roots' results.
       ``run_workloads(specs, ...)`` is the same loop behind the
       execution surface :class:`~repro.parallel.coordinator.
       ShardedMachine` shares (specs in, checkpoint/verify hooks).
-    * the shard-stepping interface (``set_shard_scope``,
-      ``begin_run`` / ``seed_root``, ``run_shard_round``,
-      ``run_shard_waiver``, ``inject_message``, ``finish_run``) — used
-      by the sharded multiprocess backend to drive only a subset of
-      cores in externally-coordinated rounds (see
-      ``repro.parallel`` and docs/parallel.md).
+    * a shard worker (``set_shard_scope``, ``begin_run`` /
+      ``seed_root``, ``run_round(horizon)``, ``run_shard_waiver``,
+      ``inject_message``, ``finish_run``) — it drives only the cores
+      its shard owns, one coordination round at a time, with the
+      coordinator's window horizon (see ``repro.parallel`` and
+      docs/parallel.md).
 
     Scheduling is cooperative and non-preemptive: each ready core runs
     one *slice* (up to ``params.slice_actions`` actions) before the
@@ -306,13 +308,13 @@ class Machine:
         #: The observation seam: one callback per :data:`EVENTS` entry,
         #: set by :meth:`subscribe`.
         self.observers = Observers()
-        # Shard-execution scope (sharded backend): when set, only cores in
-        # ``_owned`` are driven locally and messages to other cores are
-        # handed to ``_foreign_sink`` instead of delivered (see
-        # repro.parallel).  ``_horizon`` caps how far any owned core may
-        # run inside one coordination round; cores at or past it are
-        # parked until the next round raises the horizon.
-        self._owned: Optional[set] = None
+        # The cores this machine drives: all of them, until
+        # set_shard_scope narrows it to a shard (sharded backend), whose
+        # messages to other cores go to ``_foreign_sink`` instead of
+        # being delivered (see repro.parallel).  ``_horizon`` caps how
+        # far any owned core may run inside one round; cores at or past
+        # it are parked until the next round raises the horizon.
+        self._owned: Iterable[int] = range(self.n_cores)
         self._foreign_sink: Optional[Callable[[Message], None]] = None
         self._horizon: float = INF
         self._window_parked: set = set()
@@ -435,16 +437,14 @@ class Machine:
             machine = build_machine(shared_mesh(16))
             results = machine.run_roots([(rootA, (), 0), (rootB, (), 8)])
         """
-        self.begin_run(stop_at_vtime=stop_at_vtime)
+        self.begin_run()
         for fn, args, core in roots:
             self.seed_root(fn, args, core)
-        with WallTimer(self.stats):
-            self._main_loop()
-        self.finish_run()
-        return [t.result for t in self.root_tasks]
+        return self.resume_run(stop_at_vtime)
 
     def resume_run(self, stop_at_vtime: Optional[float] = None) -> List[Any]:
-        """Continue a run that ``stop_at_vtime`` interrupted.
+        """Continue a run that ``stop_at_vtime`` interrupted (or that
+        :meth:`run_roots` just seeded).
 
         The single-use contract still holds — this continues the *same*
         run on the same machine rather than starting a new one.  The
@@ -490,60 +490,26 @@ class Machine:
         SimTimeout` once it is spent; ``None`` runs unbounded (and never
         reads the clock).
 
-        With ``checkpoint_every`` the run stops at virtual times
-        ``every``, ``2 * every``, ... (boundaries a segment overshot are
-        skipped, so every capture holds fresh progress) and hands
-        ``(boundary, [state])`` to ``checkpoint_sink`` while work is
-        still live.  With ``verify_at``/``verify_states`` the run is a
-        *restore replay*: it runs straight to ``verify_at``, where the
-        machine state must be bit-identical to ``verify_states[0]``
-        (:class:`~repro.checkpoint.codec.CheckpointMismatchError`
-        otherwise, including when the run ends before the boundary),
-        and checkpoints only past it.  Stopping and resuming is
-        observation-only (see :meth:`resume_run`).
+        The checkpoint hooks follow :mod:`repro.core.boundary`; the
+        safe points are ``stop_at_vtime`` returns, and stopping and
+        resuming is observation-only (see :meth:`resume_run`).
         """
         if timeout is not None:
             self._deadline = time.perf_counter() + timeout
         roots = [(spec.resolve().root, (), spec.root_core) for spec in specs]
-        every = None
-        if checkpoint_every is not None:
-            every = float(checkpoint_every)
-            if every <= 0:
-                raise SimConfigError(
-                    f"checkpoint_every must be > 0, got {checkpoint_every}")
+        rule = BoundaryRule(checkpoint_every, checkpoint_sink, verify_at,
+                            verify_states)
         tel = self.telemetry
-        profiler = None
-        if tel is not None and "profile" in tel.parts:
-            from ..obs.profiler import SamplingProfiler
-
-            profiler = SamplingProfiler(tel).start()
+        profiler = tel.start_profiler() if tel is not None else None
         try:
-            k = every
-            results = self.run_roots(
-                roots, stop_at_vtime=k if verify_at is None else verify_at)
+            results = self.run_roots(roots, stop_at_vtime=rule.stop)
             while self.live_tasks > 0:
-                if verify_at is not None:
-                    from ..checkpoint.state import verify_machine_state
-
-                    verify_machine_state(verify_states[0], self.snapshot())
-                    verify_at = None
-                else:
-                    checkpoint_sink(k, [self.snapshot()])
-                if every is not None:
-                    while k <= self.fabric.max_vtime:
-                        k += every
-                results = self.resume_run(stop_at_vtime=k)
+                rule.cross(self.fabric.max_vtime, [self.snapshot()])
+                results = self.resume_run(stop_at_vtime=rule.stop)
         finally:
             if profiler is not None:
                 profiler.stop()
-        if verify_at is not None:
-            from ..checkpoint.codec import CheckpointMismatchError
-
-            raise CheckpointMismatchError(
-                f"restore replay completed at virtual time "
-                f"{self.stats.completion_vtime:g}, before reaching the "
-                f"snapshot's boundary {verify_at:g}; the replay did not "
-                "reproduce the checkpointed trajectory")
+        rule.finish(self.fabric.max_vtime)
         return results
 
     def snapshot(self) -> Dict[str, Any]:
@@ -559,18 +525,16 @@ class Machine:
 
         return capture_machine_state(self)
 
-    # -- shard-executable stepping interface -----------------------------
+    # -- the step, and the shard worker's surface ------------------------
     #
     # The sharded backend (repro.parallel) drives a Machine replica one
-    # coordination round at a time instead of through _main_loop: each
-    # worker process calls begin_run/seed_root once, then run_shard_round
-    # per round, then finish_run.  These methods are the complete
-    # execution surface a shard worker needs; everything else (drift
-    # checks, slices, message servicing) is shared, unmodified engine
-    # code — which is what keeps the two backends bit-identical for
-    # shard-closed runs.
+    # coordination round at a time: each worker process calls
+    # begin_run/seed_root once, then run_round(horizon) per round, then
+    # finish_run.  run_round is also the serial loop's step, so drift
+    # checks, slices and message servicing are one code path under
+    # both backends.
 
-    def begin_run(self, stop_at_vtime: Optional[float] = None) -> None:
+    def begin_run(self) -> None:
         """Prepare a (single-use) machine for execution: bind the policy
         and arm the run; roots are then seeded with :meth:`seed_root`."""
         if self._ran:
@@ -578,7 +542,6 @@ class Machine:
         if self.memory is None or self.runtime is None:
             raise SimConfigError("attach memory and runtime before run()")
         self._ran = True
-        self._stop_at_vtime = stop_at_vtime
         self.policy.attach(self)
 
     def seed_root(self, root_fn: Callable, args: tuple = (),
@@ -619,16 +582,18 @@ class Machine:
             for c in range(self.n_cores)
         ]
 
-    def run_shard_round(self, horizon: float = INF) -> bool:
-        """Drive the owned cores until quiescent, drift-stalled or parked
-        at the window ``horizon``; return whether any slice progressed.
+    def run_round(self, horizon: float = INF) -> bool:
+        """The engine's one step: drive the owned cores until quiescent,
+        drift-stalled or parked at ``horizon``; return whether any slice
+        progressed.
 
-        The horizon is the conservative window bound ``global_min + T``
-        computed by the shard coordinator: a core at or past it is parked
-        for the round (a core can overshoot by at most one scheduling
-        slice).  Cores drift-stalled on boundary proxies are woken
-        automatically when :meth:`VirtualTimeFabric.set_proxy_time`
-        raises a neighbour's published time between rounds.
+        Cores a previous round parked re-enter the ready ring, then every
+        drift-stalled core does — shadows or proxies may have risen since
+        it stalled, so its drift check deserves a retry.  The serial loop
+        steps with ``horizon = INF`` after each rescue; a shard worker
+        steps with the coordinator's window bound ``global_min + T``, and
+        a core at or past it is parked for the round (a core can
+        overshoot by at most one scheduling slice).
         """
         self._horizon = horizon
         if self._window_parked:
@@ -637,10 +602,8 @@ class Machine:
                 core = self.cores[cid]
                 if core.has_work():
                     self._make_ready(core)
-        # Mirror the serial main loop, which re-queues every stalled core
-        # after each drain: proxies may have been anchored higher since
-        # the stall, so the drift check deserves a retry.
-        self._push_all_stalled()
+        for cid in list(self._stalled):
+            self._make_ready(self.cores[cid])
         return self._drain_ready()
 
     def run_shard_waiver(self) -> bool:
@@ -658,10 +621,9 @@ class Machine:
         keeps the error minimal: it is the work a fully-relaxed drift
         check would admit first.
         """
-        owned = self._owned if self._owned is not None else range(self.n_cores)
         core = None
         best = INF
-        for cid in owned:
+        for cid in self._owned:
             cand = self.cores[cid]
             if not cand.has_work():
                 continue
@@ -693,7 +655,7 @@ class Machine:
         raise-only is exactly as safe as adopting the coordinator's.
         """
         fabric = self.fabric
-        if not fabric.shadow_enabled or self._owned is None:
+        if not fabric.shadow_enabled or self._scope_neighbors is None:
             return False
         pub = exact_shadow_fixpoint(self._scope_neighbors, fabric.active,
                                     fabric.vtime, fabric.T)
@@ -753,9 +715,8 @@ class Machine:
         """Earliest virtual time at which an owned core has pending work
         (INF when the shard is quiescent); feeds the coordinator's global
         window computation."""
-        owned = self._owned if self._owned is not None else range(self.n_cores)
         best = INF
-        for cid in owned:
+        for cid in self._owned:
             core = self.cores[cid]
             if not core.has_work():
                 continue
@@ -766,8 +727,7 @@ class Machine:
 
     def shard_has_work(self) -> bool:
         """True while any owned core has runnable or pending work."""
-        owned = self._owned if self._owned is not None else range(self.n_cores)
-        return any(self.cores[cid].has_work() for cid in owned)
+        return any(self.cores[cid].has_work() for cid in self._owned)
 
     def inject_message(
         self,
@@ -872,24 +832,22 @@ class Machine:
             if stalled_col[j]:
                 self._make_ready(cores[j])
 
-    def _push_all_stalled(self) -> bool:
-        woke = False
-        for cid in list(self._stalled):
-            self._make_ready(self.cores[cid])
-            woke = True
-        return woke
-
     def _main_loop(self) -> None:
-        stale_rescues = 0
+        """The serial driver: :meth:`run_round` with ``horizon = INF``
+        after each local rescue, until no task is live or the frontier
+        reaches ``stop_at_vtime``."""
         stop_at = self._stop_at_vtime
+        if self.live_tasks == 0 or (
+                stop_at is not None and self.fabric.max_vtime >= stop_at):
+            return
+        # A bare drain first: it may continue one that stop_at_vtime
+        # interrupted, and re-queueing the stalled cores ahead of it
+        # would change the ring order a straight run sees.
+        progressed = self._drain_ready()
+        stale_rescues = 0
         while self.live_tasks > 0:
             if stop_at is not None and self.fabric.max_vtime >= stop_at:
                 return  # partial simulation requested
-            progressed = self._drain_ready()
-            if stop_at is not None and self.fabric.max_vtime >= stop_at:
-                return
-            if self.live_tasks == 0:
-                break
             if progressed:
                 stale_rescues = 0
             else:
@@ -900,8 +858,9 @@ class Machine:
                 self.observers.rescue()
             self.policy.on_no_runnable()
             self.fabric.refresh_shadows()
-            if not self._push_all_stalled() and not self._ready:
+            if not self._stalled and not self._ready:
                 self._raise_deadlock()
+            progressed = self.run_round()
 
     def _sample_parallelism(self) -> None:
         """Record how many cores are concurrently runnable right now."""
@@ -1168,8 +1127,7 @@ class Machine:
         msg = Message(kind, src, dst, t0, size, payload=payload, tag=tag)
         msg.arrival = self.noc.delivery_time(src, dst, size, t0)
         self.stats.messages_by_kind[kind] += 1
-        owned = self._owned
-        if owned is not None and dst not in owned:
+        if self._foreign_sink is not None and dst not in self._owned:
             # Sharded backend: the destination lives in another worker.
             # NoC timing and the sender-side count above already happened
             # here; the sink ships the message to the owning shard, which

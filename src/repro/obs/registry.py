@@ -31,6 +31,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .profiler import SamplingProfiler
+
 _INF = math.inf
 
 #: Valid parts for an ``ArchConfig.telemetry`` spec.  ``counters`` is the
@@ -238,6 +240,13 @@ class Telemetry:
     def describe(self) -> str:
         parts = ",".join(p for p in TELEMETRY_PARTS if p in self.parts)
         return f"on ({parts})"
+
+    def start_profiler(self):
+        """A started :class:`~repro.obs.profiler.SamplingProfiler` when
+        the ``profile`` part is on (the caller stops it), else None."""
+        if "profile" not in self.parts:
+            return None
+        return SamplingProfiler(self).start()
 
     # --- engine notes ----------------------------------------------------
     # Subscribed to the machine's observation seam by ``observe``.  Drift

@@ -39,6 +39,7 @@ barrier — no slot is ever read and written concurrently.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, Iterable, List, Tuple
@@ -64,6 +65,12 @@ WINDOW_MAX_FACTOR = 64.0
 #: Engine sub-rounds a worker runs per coordination round under spatial
 #: sync, stopping earlier at its first boundary-crossing message.
 ROUND_BATCH = 16
+
+#: Held around board creation, board unlinking and worker forks: a
+#: worker forked while another thread (say, a ``JobQueue`` pool thread)
+#: holds the resource tracker's lock inherits it held and blocks forever
+#: in :meth:`SharedRoundBoard.attach`.
+FORK_LOCK = threading.Lock()
 
 
 def resolve_start_method() -> str:
@@ -174,8 +181,9 @@ class SharedRoundBoard:
     @classmethod
     def create(cls, n_cores: int, n_shards: int) -> "SharedRoundBoard":
         """Allocate and zero-initialize a board (coordinator side)."""
-        shm = shared_memory.SharedMemory(
-            create=True, size=cls._nbytes(n_cores, n_shards))
+        with FORK_LOCK:
+            shm = shared_memory.SharedMemory(
+                create=True, size=cls._nbytes(n_cores, n_shards))
         board = cls(n_cores, n_shards, shm)
         board.published[:] = INF
         board.vtime[:] = 0.0
@@ -211,10 +219,11 @@ class SharedRoundBoard:
 
     def unlink(self) -> None:
         """Free the block (coordinator only, after all workers exited)."""
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        with FORK_LOCK:
+            try:
+                self.shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
 
 
 def encode_batch(msgs: List[Message]) -> bytes:

@@ -63,6 +63,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..arch.builder import build_topology
+from ..core.boundary import BoundaryRule
 from ..core.errors import (SanitizerViolation, SimConfigError, SimDeadlock,
                            SimError, SimTimeout)
 from ..core.fabric import INF, exact_shadow_fixpoint
@@ -157,12 +158,8 @@ class ShardedMachine:
             self.telemetry = Telemetry(cfg.telemetry, cfg.n_cores)
         self._board: Optional[SharedRoundBoard] = None
         self._ran = False
-        # Run budget and checkpoint/restore hooks; see run_workloads.
-        self._deadline: Optional[float] = None  # perf_counter() value
-        self._checkpoint_every: Optional[float] = None
-        self._checkpoint_sink = None
-        self._verify_at: Optional[float] = None
-        self._verify_states: Optional[List[dict]] = None
+        #: The run budget as a perf_counter() value; see run_workloads.
+        self._deadline: Optional[float] = None
 
     # -- public API ------------------------------------------------------
     def run_workloads(
@@ -183,20 +180,9 @@ class ShardedMachine:
         :class:`~repro.core.errors.SimTimeout` once it is spent (the
         workers are terminated on the way out); ``None`` runs unbounded.
 
-        Checkpointing (``repro.checkpoint``): boundaries are virtual
-        times ``every``, ``2 * every``, ...  At a round barrier with
-        work still live, the *frontier* — the largest virtual time any
-        core has reached, read off the round board — is compared with
-        the next boundary ``k``; once it reaches ``k`` each worker
-        ships its machine-state capture, ``(k, [state, ...])`` goes to
-        ``checkpoint_sink``, and ``k`` moves past the frontier
-        (boundaries one round overshot are skipped).  With
-        ``verify_at``/``verify_states`` this run is a *restore replay*:
-        at the first barrier whose frontier reaches ``verify_at`` each
-        worker's capture must be bit-identical to the stored one —
-        :class:`~repro.checkpoint.codec.CheckpointMismatchError`
-        otherwise, including when the run ends before the boundary —
-        and checkpoints are taken only past it.
+        The checkpoint hooks follow :mod:`repro.core.boundary`, with one
+        state per worker: the safe points are round barriers with work
+        still live, and the frontier is read off the round board.
         """
         if self._ran:
             raise SimError(
@@ -207,11 +193,8 @@ class ShardedMachine:
             if not 0 <= spec.root_core < self.cfg.n_cores:
                 raise SimConfigError(
                     f"root core {spec.root_core} out of range")
-        if checkpoint_every is not None:
-            checkpoint_every = float(checkpoint_every)
-            if checkpoint_every <= 0:
-                raise SimConfigError(
-                    f"checkpoint_every must be > 0, got {checkpoint_every}")
+        rule = BoundaryRule(checkpoint_every, checkpoint_sink, verify_at,
+                            verify_states, per_shard=True)
         if (verify_states is not None
                 and len(verify_states) != self.partition.n_shards):
             from ..checkpoint.codec import CheckpointError
@@ -220,21 +203,13 @@ class ShardedMachine:
                 f"snapshot holds {len(verify_states)} shard states but "
                 f"this run has {self.partition.n_shards} shards; restoring "
                 "onto a different shard count is not supported")
-        self._checkpoint_every = checkpoint_every
-        self._checkpoint_sink = checkpoint_sink
-        self._verify_at = verify_at
-        self._verify_states = verify_states
         t_start = time.perf_counter()
         self._t0 = t_start  # wall-clock origin for telemetry events
         self._deadline = None if timeout is None else t_start + timeout
-        self._profiler = None
-        if (self.telemetry is not None
-                and "profile" in self.telemetry.parts):
-            from ..obs.profiler import SamplingProfiler
-
-            # Samples coordinator phases (dispatch/wait_workers/
-            # coordinate); each worker runs its own profiler in-process.
-            self._profiler = SamplingProfiler(self.telemetry).start()
+        # Samples coordinator phases (dispatch/wait_workers/coordinate);
+        # each worker runs its own profiler in-process.
+        tel = self.telemetry
+        self._profiler = tel.start_profiler() if tel is not None else None
         mp_ctx = multiprocessing.get_context(resolve_start_method())
         part = self.partition
         topo = build_topology(self.cfg)
@@ -246,20 +221,21 @@ class ShardedMachine:
         ctrl: List[object] = []
         workers: List[object] = []
         try:
-            for sid in range(part.n_shards):
-                parent_conn, child_conn = mp_ctx.Pipe(duplex=True)
-                proc = mp_ctx.Process(
-                    target=worker_main,
-                    args=(sid, self.cfg, specs, edges[sid], child_conn,
-                          board.name),
-                    name=f"repro-shard-{sid}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                ctrl.append(parent_conn)
-                workers.append(proc)
-            results = self._drive(specs, ctrl)
+            with channels.FORK_LOCK:
+                for sid in range(part.n_shards):
+                    parent_conn, child_conn = mp_ctx.Pipe(duplex=True)
+                    proc = mp_ctx.Process(
+                        target=worker_main,
+                        args=(sid, self.cfg, specs, edges[sid], child_conn,
+                              board.name),
+                        name=f"repro-shard-{sid}",
+                        daemon=True,
+                    )
+                    proc.start()
+                    child_conn.close()
+                    ctrl.append(parent_conn)
+                    workers.append(proc)
+            results = self._drive(specs, ctrl, rule)
         finally:
             for proc in workers:
                 if proc.is_alive():
@@ -280,7 +256,7 @@ class ShardedMachine:
         return results
 
     # -- coordination loop ----------------------------------------------
-    def _drive(self, specs, ctrl) -> List[Any]:
+    def _drive(self, specs, ctrl, rule: BoundaryRule) -> List[Any]:
         cfg = self.cfg
         spatial = cfg.sync == "spatial"
         T = cfg.drift_bound
@@ -316,11 +292,6 @@ class ShardedMachine:
         #   stall 3 — even the forced slice produced nothing: genuine
         #             deadlock (there is no work left to force).
         stall = 0
-        # Virtual-time boundaries, the serial rule: ``k`` walks the
-        # multiples of ``checkpoint_every``, ``stop`` is where the next
-        # barrier action (verification first, on a replay) is due.
-        k = self._checkpoint_every
-        stop = k if self._verify_at is None else self._verify_at
         frontier = 0.0
         tel = self.telemetry
         if tel is not None:
@@ -360,23 +331,11 @@ class ShardedMachine:
                 break
             # Round barrier: workers are blocked on the next command, so
             # their machine state is frozen — the safe point for
-            # checkpoint capture and restore verification.  ``stop`` is
-            # the next virtual time either is due at; a restore replay
-            # checkpoints only past its verified boundary (an earlier
-            # capture would replace the newer one it resumes).
-            if stop is not None:
+            # checkpoint capture and restore verification.
+            if rule.stop is not None:
                 frontier = max(frontier, float(self._board.vtime.max()))
-                if frontier >= stop:
-                    if self._verify_at is not None:
-                        self._verify_worker_states(ctrl)
-                        self._verify_at = None
-                    else:
-                        self._checkpoint_sink(
-                            k, self._collect_worker_states(ctrl))
-                    if k is not None:
-                        while k <= frontier:
-                            k += self._checkpoint_every
-                    stop = k
+                if frontier >= rule.stop:
+                    rule.cross(frontier, self._collect_worker_states(ctrl))
             sent_total = sum(s[2] for s in statuses)
             progressed = any(s[1] for s in statuses) or sent_total > 0
             global_min = min(s[4] for s in statuses)
@@ -410,14 +369,7 @@ class ShardedMachine:
                 horizon = global_min + T * window
             else:
                 horizon = INF
-        if self._verify_at is not None:
-            from ..checkpoint.codec import CheckpointMismatchError
-
-            raise CheckpointMismatchError(
-                f"restore replay completed after {self.rounds} rounds, "
-                f"before its frontier reached the snapshot's boundary "
-                f"{self._verify_at:g}; the replay did not reproduce the "
-                "checkpointed trajectory")
+        rule.finish(frontier)
         for conn in ctrl:
             conn.send(("stop",))
         return self._finalize(specs, ctrl)
@@ -427,15 +379,6 @@ class ShardedMachine:
         for conn in ctrl:
             conn.send(("snapshot",))
         return [self._expect(conn, "state")[1] for conn in ctrl]
-
-    def _verify_worker_states(self, ctrl) -> None:
-        from ..checkpoint.state import verify_machine_state
-
-        for sid, actual in enumerate(self._collect_worker_states(ctrl)):
-            try:
-                verify_machine_state(self._verify_states[sid], actual)
-            except Exception as exc:
-                raise type(exc)(f"shard {sid}: {exc}") from None
 
     def _window_lift(self, window: float) -> float:
         """Extra drift permission shipped with a round's ``go``: the

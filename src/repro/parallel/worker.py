@@ -124,11 +124,8 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
     sanitizer = machine.sanitizer
     telemetry = machine.telemetry  # set by the builder when cfg.telemetry
     t_base = None  # wall-clock origin for this worker's host-round track
-    profiler = None
-    if telemetry is not None and "profile" in telemetry.parts:
-        from ..obs.profiler import SamplingProfiler
-
-        profiler = SamplingProfiler(telemetry).start()
+    profiler = (telemetry.start_profiler()
+                if telemetry is not None else None)
     spatial = cfg.sync == "spatial"
     # Sub-round batching only pays under spatial sync: the unbounded
     # policy gates nothing, so one run to quiescence is already maximal.
@@ -192,7 +189,7 @@ def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
                 progressed = bool(waive) and machine.run_shard_waiver()
                 sub = 0
                 while True:
-                    ran = machine.run_shard_round(horizon)
+                    ran = machine.run_round(horizon)
                     progressed = ran or progressed
                     sub += 1
                     if (outbox or sub >= batch_cap

@@ -13,6 +13,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -36,7 +37,9 @@ def test_docs_exist():
 
 
 @pytest.mark.parametrize("page", DOC_PAGES, ids=lambda p: p.name)
-def test_fenced_python_blocks_execute(page):
+def test_fenced_python_blocks_execute(page, monkeypatch, tmp_path):
+    # Blocks that call tempfile.mkdtemp() leave nothing behind.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     blocks = FENCE_RE.findall(page.read_text())
     namespace = {"__name__": f"docs_{page.stem}"}
     for i, block in enumerate(blocks):

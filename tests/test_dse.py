@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import urllib.error
 import urllib.request
 
@@ -235,6 +236,26 @@ class TestSweepDeterminism:
             assert leak not in text
         # Execution accounting lives outside the frame.
         assert "simulations_started" in outcome.execution
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork workers")
+def test_sharded_cells_from_pool_threads_never_hang_at_fork(tmp_path):
+    # CI's sharded sweep family: two pool threads each start sharded
+    # cells.  A worker forked while the sibling thread held the
+    # resource tracker's lock blocked in SharedRoundBoard.attach until
+    # the cell timed out (most runs hung before the fork lock).  A
+    # clean run takes well under a second.
+    family = spec(axes={"arch.n_cores": [9, 16],
+                        "arch.memory": ["shared", "distributed"],
+                        "arch.drift_bound": [50, 200]},
+                  budget="medium")
+    family["base"]["arch"].update(backend="sharded", shards=2)
+    for i in range(8):
+        outcome = run_sweep(expand_sweep(family),
+                            store_dir=str(tmp_path / f"run{i}"), jobs=2,
+                            timeout_s=10.0)
+        assert outcome.execution["cells_ok"] == 8, (i, outcome.execution)
 
 
 class TestFailureIsolation:

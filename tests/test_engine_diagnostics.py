@@ -5,8 +5,13 @@ import dataclasses
 import pytest
 
 from repro.arch import build_machine, shared_mesh
+from repro.core.engine import Machine
 from repro.core.errors import SimDeadlock, SimError, TaskError
+from repro.core.sync import SyncPolicy
 from repro.core.task import TaskGroup
+from repro.memory.sharedmem import SharedMemoryModel
+from repro.network.topology import mesh2d
+from repro.runtime.runtime import Runtime
 
 
 class TestTaskError:
@@ -104,3 +109,30 @@ class TestDeadlockDiagnostics:
         assert diag["live_tasks"] == 1
         assert isinstance(diag["stalled_cores"], list)
         assert isinstance(diag["cores"], dict)
+
+    def test_no_progress_after_three_rescues(self):
+        # A policy that admits nothing: core 1 drift-stalls on the first
+        # pass and again after each rescue re-queues it, so the serial
+        # loop never runs out of stalled cores to retry; the third pass
+        # in a row without progress is the deadlock.
+        class RefuseAll(SyncPolicy):
+            name = "refuse_all"
+
+            def may_run(self, core):
+                return False
+
+        machine = Machine(mesh2d(2, 1), RefuseAll())
+        machine.attach_memory(SharedMemoryModel())
+        machine.attach_runtime(Runtime())
+
+        def root(ctx):
+            yield ctx.compute(cycles=1)
+
+        with pytest.raises(SimDeadlock) as err:
+            machine.run(root, root_core=1)
+        diag = err.value.diagnostics
+        assert diag["live_tasks"] == 1
+        assert diag["stalled_cores"] == [1]
+        assert diag["cores"][1]["stalled"]
+        assert machine.stats.drift_stalls == 3
+        assert machine.stats.actions == 0

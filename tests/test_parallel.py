@@ -269,10 +269,10 @@ def test_run_shard_waiver_runs_despite_drift():
 
     machine.seed_root(crunch, (), 0)
     machine.fabric.set_proxy_time(1, 0.0)
-    machine.run_shard_round()
+    machine.run_round()
     stalled_at = machine.fabric.vtime[0]
     assert machine.stats.drift_stalls > 0
-    assert not machine.run_shard_round()  # wedged without the waiver
+    assert not machine.run_round()  # wedged without the waiver
     assert machine.run_shard_waiver()
     assert machine.fabric.vtime[0] > stalled_at
     assert machine.stats.lock_waiver_runs == 1

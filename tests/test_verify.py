@@ -147,7 +147,7 @@ class TestSanitizerViolations:
 
         machine.seed_root(crunch, (), 0)
         machine.set_proxy_time(1, 0.0)
-        machine.run_shard_round()
+        machine.run_round()
         checks = machine.sanitizer.checks
         admitted = checks["drift-admission"]
         assert not machine.fabric.drift_ok(0)
@@ -160,7 +160,7 @@ class TestSanitizerViolations:
         assert machine.stats.lock_waiver_runs == 1
         # Once the proxy lets core 0 run, normal admissions are checked.
         machine.set_proxy_time(1, 1e6)
-        assert machine.run_shard_round()
+        assert machine.run_round()
         assert checks["drift-admission"] > admitted
 
     def test_inject_rejects_non_finite_times(self):
