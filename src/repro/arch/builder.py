@@ -60,19 +60,16 @@ def build_memory(cfg: ArchConfig):
             bank_latency=cfg.bank_latency,
             l1_latency=cfg.l1_latency,
             coherence=coherence,
-            scale_l1_with_core=cfg.scale_l1_with_core,
         )
     if cfg.memory == "numa":
         return NumaMemoryModel(
             bank_latency=cfg.bank_latency,
             l1_latency=cfg.l1_latency,
             coherence=CoherenceModel() if cfg.coherence_enabled else None,
-            scale_l1_with_core=cfg.scale_l1_with_core,
         )
     return DistributedMemoryModel(
         l2_latency=cfg.l2_latency,
         l1_latency=cfg.l1_latency,
-        scale_l1_with_core=cfg.scale_l1_with_core,
     )
 
 
@@ -94,21 +91,18 @@ def build_machine(cfg: ArchConfig) -> Machine:
         print(machine.stats.completion_vtime)
     """
     topo = build_topology(cfg)
-    policy = make_policy(cfg.sync, **cfg.sync_kwargs)
+    policy = make_policy(cfg.sync)
     machine = Machine(
         topo,
         policy,
         cfg.engine_params(),
         drift_bound=cfg.drift_bound,
-        shadow_enabled=cfg.shadow_enabled,
-        shadow_mode=cfg.shadow_mode,
+        shadow=cfg.shadow,
         speed_factors=cfg.resolved_speed_factors(),
         branch_accuracy=cfg.branch_accuracy,
         branch_penalty=cfg.branch_penalty,
-        sample_branches=cfg.sample_branches,
         router_penalty=cfg.router_penalty,
         chunk_bytes=cfg.chunk_bytes,
-        model_contention=cfg.model_contention,
         seed=cfg.seed,
     )
     if cfg.shards > 0:
@@ -123,7 +117,7 @@ def build_machine(cfg: ArchConfig) -> Machine:
     machine.attach_memory(build_memory(cfg))
     machine.attach_runtime(
         Runtime(
-            dispatch=make_dispatch(cfg.dispatch, **cfg.dispatch_kwargs),
+            dispatch=make_dispatch(cfg.dispatch),
             work_stealing=cfg.work_stealing,
         )
     )

@@ -10,11 +10,12 @@ parameters (the drift bound ``T``, run-time overheads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from ..core.engine import EngineParams
 from ..core.errors import SimConfigError
+from ..core.fabric import SHADOW_MODES
 from ..core.sync import make_policy
 from ..runtime.dispatch import make_dispatch
 
@@ -53,25 +54,20 @@ class ArchConfig:
     intra_cluster_latency: float = CLUSTER_INTRA_LATENCY
     router_penalty: float = 1.0
     chunk_bytes: int = 64
-    model_contention: bool = True
 
     # Memory latencies.
     bank_latency: float = SHARED_BANK_LATENCY
     l1_latency: float = L1_LATENCY
     l2_latency: float = L2_LATENCY
-    scale_l1_with_core: bool = True
 
     # Virtual timing.
     sync: str = "spatial"            # spatial | conservative | quantum | ...
     drift_bound: float = DEFAULT_T
-    shadow_enabled: bool = True
-    shadow_mode: str = "fast"
-    sync_kwargs: Dict = field(default_factory=dict)
+    shadow: str = "fast"             # fast | exact | off (see core.fabric)
 
     # Run-time task dispatch: occupancy (paper default) | speed_aware |
     # latency_aware | random (see repro.runtime.dispatch).
     dispatch: str = "occupancy"
-    dispatch_kwargs: Dict = field(default_factory=dict)
     #: Extension: idle cores pull NEW tasks from loaded neighbours
     #: (Cilk-style stealing; the paper's run-time only pushes).
     work_stealing: bool = False
@@ -86,7 +82,6 @@ class ArchConfig:
     # Timing annotations.
     branch_accuracy: float = 0.9
     branch_penalty: float = 5.0
-    sample_branches: bool = True
 
     seed: int = 0
 
@@ -136,6 +131,10 @@ class ArchConfig:
             raise SimConfigError(f"unknown memory organization {self.memory!r}")
         if self.topology not in ("mesh", "clustered", "ring", "torus", "crossbar"):
             raise SimConfigError(f"unknown topology {self.topology!r}")
+        if self.shadow not in SHADOW_MODES:
+            raise SimConfigError(
+                f"unknown shadow mode {self.shadow!r}; choose from "
+                f"{list(SHADOW_MODES)}")
         if self.polymorphic and self.speed_factors is not None:
             raise SimConfigError("set either polymorphic or speed_factors")
         if self.backend not in ("serial", "sharded"):
@@ -155,8 +154,8 @@ class ArchConfig:
                 raise ValueError("drift bound T must be positive")
             if self.chunk_bytes < 1:
                 raise ValueError("chunk size must be positive")
-            make_policy(self.sync, **self.sync_kwargs)
-            make_dispatch(self.dispatch, **self.dispatch_kwargs)
+            make_policy(self.sync)
+            make_dispatch(self.dispatch)
             self.engine_params()
             self.resolved_speed_factors()
         except (ValueError, TypeError) as exc:

@@ -54,8 +54,10 @@ MAGIC = b"RPSNAP"
 #: 4: the captured ``columns`` lost ``inbox_len``, so a version-3 file
 #: would otherwise fail as a replay mismatch; 5: the three round-protocol
 #: settings left the config for constants, so a version-4 file would
-#: again fail ``ArchConfig(**config)`` with a TypeError).
-CHECKPOINT_VERSION = 5
+#: again fail ``ArchConfig(**config)`` with a TypeError; 6: five
+#: model-variant switches left the config and its two shadow fields
+#: became the one ``shadow`` setting, the same TypeError again).
+CHECKPOINT_VERSION = 6
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")

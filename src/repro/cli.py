@@ -41,6 +41,8 @@ from .arch import (
     polymorphic_shared,
     shared_mesh,
 )
+from .core.sync import POLICIES
+from .runtime.dispatch import DISPATCH_POLICIES
 from .workloads import BENCHMARKS, SCALE_PARAMS
 
 #: Figure/table sweeps available to the ``sweep`` subcommand.
@@ -81,12 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--drift", type=float, default=100.0,
                      help="maximum local drift T (cycles)")
-    run.add_argument("--sync", default="spatial",
-                     choices=("spatial", "conservative", "quantum",
-                              "bounded_slack", "laxp2p", "unbounded"))
+    run.add_argument("--sync", default="spatial", choices=tuple(POLICIES))
     run.add_argument("--dispatch", default="occupancy",
-                     choices=("occupancy", "speed_aware", "latency_aware",
-                              "random"))
+                     choices=DISPATCH_POLICIES)
     run.add_argument("--baseline", action="store_true",
                      help="also run 1 core and report the speedup")
     run.add_argument("--backend", choices=("serial", "sharded"),
@@ -224,12 +223,10 @@ def _cmd_list(out) -> int:
 
 def _cmd_info(out) -> int:
     from .arch import ArchConfig
+    from .service.hashing import PRESETS
 
     cfg = ArchConfig()
-    print("architecture presets: shared_mesh, dist_mesh, clustered_dist,",
-          file=out)
-    print("  polymorphic_shared, polymorphic_dist, shared_mesh_validation",
-          file=out)
+    print("architecture presets:", ", ".join(PRESETS), file=out)
     print("paper reference parameters:", file=out)
     print(f"  drift bound T        : {cfg.drift_bound}", file=out)
     print(f"  shared bank latency  : {cfg.bank_latency} cycles", file=out)

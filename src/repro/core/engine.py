@@ -156,6 +156,10 @@ class Machine:
     attached after construction (``attach_memory`` / ``attach_runtime``)
     — most callers get a fully wired machine from
     :func:`repro.arch.build_machine` instead of calling this directly.
+    The keyword arguments describe the machine (drift bound ``T``, the
+    ``shadow`` mode ``"fast"`` / ``"exact"`` / ``"off"`` — see
+    :mod:`repro.core.fabric` — speed factors, branch model, router
+    penalty, chunk size); none selects an alternative implementation.
 
     One step, :meth:`run_round` (unpark, re-queue stalled cores,
     drain the ready ring up to a horizon), and two drivers of it:
@@ -198,16 +202,13 @@ class Machine:
         params: Optional[EngineParams] = None,
         *,
         drift_bound: float = 100.0,
-        shadow_enabled: bool = True,
-        shadow_mode: str = "fast",
+        shadow: str = "fast",
         cost_table: Optional[CostTable] = None,
         speed_factors: Optional[Sequence[float]] = None,
         branch_accuracy: float = 0.9,
         branch_penalty: float = 5.0,
-        sample_branches: bool = True,
         router_penalty: float = 1.0,
         chunk_bytes: int = 64,
-        model_contention: bool = True,
         seed: int = 0,
     ) -> None:
         self.topo = topo
@@ -217,12 +218,8 @@ class Machine:
         self.seed = seed
         self.stats = SimStats(n_cores=self.n_cores)
 
-        self.noc = Noc(
-            topo,
-            router_penalty=router_penalty,
-            chunk_bytes=chunk_bytes,
-            model_contention=model_contention,
-        )
+        self.noc = Noc(topo, router_penalty=router_penalty,
+                       chunk_bytes=chunk_bytes)
         #: Struct-of-arrays plane shared by the fabric, the cores and
         #: the dispatcher (single source of truth for hot per-core
         #: state; see repro.core.soa).
@@ -231,8 +228,7 @@ class Machine:
         self.fabric = VirtualTimeFabric(
             topo,
             drift_bound=drift_bound,
-            shadow_enabled=shadow_enabled,
-            shadow_mode=shadow_mode,
+            shadow=shadow,
             on_publish_increase=self._on_publish_increase,
             soa=self.soa,
         )
@@ -245,7 +241,7 @@ class Machine:
         # Each core's annotator is built from these at its first task
         # start (_start_or_resume); most cores of a large machine never
         # run one.  Building the predictor here checks the branch model.
-        self._annotator_parts = (table, sample_branches, BranchPredictorModel(
+        self._annotator_parts = (table, BranchPredictorModel(
             accuracy=branch_accuracy, penalty_cycles=branch_penalty))
         self.cores: List[CoreUnit] = [
             CoreUnit(cid, speed_factor=float(speed_factors[cid]),
@@ -655,7 +651,7 @@ class Machine:
         raise-only is exactly as safe as adopting the coordinator's.
         """
         fabric = self.fabric
-        if not fabric.shadow_enabled or self._scope_neighbors is None:
+        if fabric.shadow == "off" or self._scope_neighbors is None:
             return False
         pub = exact_shadow_fixpoint(self._scope_neighbors, fabric.active,
                                     fabric.vtime, fabric.T)
@@ -1298,9 +1294,9 @@ class Machine:
         params = self.params
         if task.state == TaskState.NEW:
             if core.annotator is None:
-                table, sample, predictor = self._annotator_parts
+                table, predictor = self._annotator_parts
                 core.annotator = BlockAnnotator(
-                    table.scaled(core.speed_factor), sample_branches=sample,
+                    table.scaled(core.speed_factor),
                     predictor=replace(predictor,
                                       seed=self.seed * 1_000_003 + core.cid))
             if not self.fabric.active[core.cid]:
@@ -1456,6 +1452,7 @@ class Machine:
         label = policy.bound_label(self)
         bound = f" ({label})" if label else ""
         tel = self.telemetry
+        shadow = self.fabric.shadow
         lines = [
             f"Machine: {self.n_cores} cores on {self.topo.name}",
             f"  sync policy     : {self.policy.name}" + bound,
@@ -1463,7 +1460,7 @@ class Machine:
             f"{tel.describe() if tel is not None else 'off'}",
             f"  memory model    : {type(self.memory).__name__}",
             f"  shadow time     : "
-            f"{'on (' + self.fabric.shadow_mode + ')' if self.fabric.shadow_enabled else 'off'}",
+            f"{'off' if shadow == 'off' else 'on (' + shadow + ')'}",
             f"  speed factors   : "
             f"{sorted(set(c.speed_factor for c in self.cores))}",
         ]

@@ -17,7 +17,7 @@ most-late neighbour (including spawn births) by more than the user-chosen
 constant ``T``.  This local bound implies a global bound of
 ``diameter x T`` between any two cores.
 
-Shadow maintenance has two modes:
+The ``shadow`` setting picks one of three modes:
 
 * ``exact`` — the published times of idle cores always equal the fixpoint
   ``min over active cores a of (vtime(a) + T * hops(i, a))``, recomputed
@@ -28,6 +28,9 @@ Shadow maintenance has two modes:
   check still uses its true virtual time; only its neighbours may see a
   stale-high value, allowing them at most one extra ``T`` of drift.  This
   is the default for large simulations.
+* ``off`` — no shadows: an idle core publishes ``INF`` and never
+  constrains its neighbours (the shadow ablation's baseline).  Active
+  cores publish monotonically, as under ``fast``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .soa import CoreStateArrays
 from ..network.topology import Topology
 
 INF = math.inf
+
+#: The values of the ``shadow`` setting (see the module docstring).
+SHADOW_MODES = ("fast", "exact", "off")
 
 
 def exact_shadow_fixpoint(
@@ -91,25 +97,30 @@ def exact_shadow_fixpoint(
 
 
 class VirtualTimeFabric:
-    """Shared virtual-time state for all cores of one machine."""
+    """Shared virtual-time state for all cores of one machine.
+
+    ``shadow`` is one of :data:`SHADOW_MODES` (see the module
+    docstring); anything else is a ``ValueError``.
+    """
 
     def __init__(
         self,
         topo: Topology,
         drift_bound: float,
-        shadow_enabled: bool = True,
-        shadow_mode: str = "fast",
+        shadow: str = "fast",
         on_publish_increase: Optional[Callable[[int], None]] = None,
         soa: Optional[CoreStateArrays] = None,
     ) -> None:
         if drift_bound <= 0:
             raise ValueError("drift bound T must be positive")
-        if shadow_mode not in ("fast", "exact"):
-            raise ValueError("shadow_mode must be 'fast' or 'exact'")
+        if shadow not in SHADOW_MODES:
+            raise ValueError(
+                f"shadow must be one of {list(SHADOW_MODES)}, not {shadow!r}")
         self.topo = topo
         self.T = drift_bound
-        self.shadow_enabled = shadow_enabled
-        self.shadow_mode = shadow_mode
+        self.shadow = shadow
+        #: Idle cores carry shadows (relax waves, rescue recomputes).
+        self._shadows_on = shadow != "off"
         self.on_publish_increase = on_publish_increase
 
         n = topo.n_cores
@@ -135,7 +146,7 @@ class VirtualTimeFabric:
         self._births: List[Optional[Dict[float, int]]] = [None] * n
         self._births_min = soa.births_min
         self._dirty = True  # shadows need a full recompute
-        self._exact = shadow_enabled and shadow_mode == "exact"
+        self._exact = shadow == "exact"
         self.max_vtime = 0.0
         self.shadow_recomputes = 0
         #: Cached lower bound on each core's drift floor (see
@@ -146,9 +157,9 @@ class VirtualTimeFabric:
         #: under fast (monotone) shadow mode — exact-mode recomputes may
         #: lower arbitrary values lazily — so the cache is armed from the
         #: mode alone and ``may_run`` uses the reference computation
-        #: under ``shadow_mode == "exact"``.
+        #: under ``shadow == "exact"``.
         self._floor_lb = soa.floor_lb
-        self._floor_cache_on = shadow_mode != "exact"
+        self._floor_cache_on = not self._exact
         # Number of idle neighbours per core (all cores start idle).
         # Relaxation waves from an advance can only act on idle
         # neighbours, so advances gate the wave on this counter — on a
@@ -177,7 +188,7 @@ class VirtualTimeFabric:
         if start_time > self.max_vtime:
             self.max_vtime = start_time
         old = self.published[cid]
-        if self.shadow_mode == "fast":
+        if not self._exact:
             # Monotone publishing: never lower what neighbours already saw.
             if math.isinf(old) or start_time > old:
                 self.published[cid] = start_time
@@ -198,11 +209,11 @@ class VirtualTimeFabric:
         counts = self._idle_nbr_count
         for j in self._neighbors[cid]:
             counts[j] += 1
-        if not self.shadow_enabled:
+        if not self._shadows_on:
             self.published[cid] = INF
             self._notify(cid)
             return
-        if self.shadow_mode == "exact":
+        if self._exact:
             self._dirty = True
         else:
             # Fast mode: shadow starts at the last vtime (monotone) and will
@@ -228,7 +239,7 @@ class VirtualTimeFabric:
             self._notify(cid)
             # The wave can only raise idle neighbours; skip it when the
             # whole neighbourhood is busy (the common case mid-run).
-            if self.shadow_enabled and self._idle_nbr_count[cid]:
+            if self._shadows_on and self._idle_nbr_count[cid]:
                 self._relax_up(cid)
 
     # -- shard proxy anchoring -------------------------------------------
@@ -262,7 +273,7 @@ class VirtualTimeFabric:
             self.published[cid] = value
             if not math.isinf(old):
                 self._notify(cid)
-                if self.shadow_enabled and self._idle_nbr_count[cid]:
+                if self._shadows_on and self._idle_nbr_count[cid]:
                     self._relax_up(cid)
             else:
                 self._lower_neighbor_floors(cid, value)
@@ -289,7 +300,7 @@ class VirtualTimeFabric:
                 self._lower_neighbor_floors(cid, value)
             self.published[cid] = value
             self._notify(cid)
-            if self.shadow_enabled and self._idle_nbr_count[cid]:
+            if self._shadows_on and self._idle_nbr_count[cid]:
                 self._relax_up(cid)
 
     # -- spawn birth ledger -------------------------------------------------
@@ -398,7 +409,7 @@ class VirtualTimeFabric:
         engine calls this on a no-runnable rescue round to restore the exact
         fixpoint, which guarantees the globally-earliest core can run.
         """
-        if self.shadow_enabled:
+        if self._shadows_on:
             self._full_recompute()
 
     # -- drift-floor cache -------------------------------------------------
@@ -498,7 +509,7 @@ class VirtualTimeFabric:
     # -- introspection ---------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Debug snapshot of the fabric state."""
-        if self._dirty and self.shadow_enabled and self.shadow_mode == "exact":
+        if self._dirty and self._exact:
             self._full_recompute()
         return {
             "vtime": list(self.vtime),

@@ -147,7 +147,7 @@ class SpatialSync(SyncPolicy):
         if not fabric.active[cid]:
             return True
         if fabric._floor_cache_on:
-            # Cached-floor fast path (fast shadow mode): the cache
+            # Cached-floor fast path (any shadow mode but exact): the cache
             # holds a lower bound on the drift floor, so a pass
             # against the bound implies a pass against the true floor
             # (the comparison uses the exact same float expression, and
@@ -401,9 +401,9 @@ POLICIES = {
 }
 
 
-def make_policy(name: str, **kwargs) -> SyncPolicy:
-    """Factory: build a sync policy by name."""
+def make_policy(name: str) -> SyncPolicy:
+    """Factory: build a sync policy by name, with its default settings."""
     if name not in POLICIES:
         raise ValueError(
             f"unknown sync policy {name!r}; choose from {sorted(POLICIES)}")
-    return POLICIES[name](**kwargs)
+    return POLICIES[name]()

@@ -56,7 +56,7 @@ def build_cycle_level_machine(
         ConservativeSync(),
         params,
         drift_bound=100.0,  # unused by the conservative policy
-        shadow_enabled=False,
+        shadow="off",
         speed_factors=speed_factors,
         branch_penalty=pipeline.mispredict_penalty,
         seed=seed,

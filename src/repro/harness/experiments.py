@@ -561,9 +561,9 @@ def shadow_time_ablation(
     maximum observed drift and the host cost of each mode.
     """
     modes = {
-        "shadow_fast": {"shadow_enabled": True, "shadow_mode": "fast"},
-        "shadow_exact": {"shadow_enabled": True, "shadow_mode": "exact"},
-        "no_shadow": {"shadow_enabled": False, "shadow_mode": "fast"},
+        "shadow_fast": {"shadow": "fast"},
+        "shadow_exact": {"shadow": "exact"},
+        "no_shadow": {"shadow": "off"},
     }
     out: Dict[str, Dict[str, float]] = {}
     for label, overrides in modes.items():

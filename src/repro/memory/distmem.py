@@ -28,13 +28,11 @@ class DistributedMemoryModel(MemoryModel):
         self,
         l2_latency: float = DEFAULT_L2_LATENCY,
         l1_latency: float = DEFAULT_L1_LATENCY,
-        scale_l1_with_core: bool = True,
     ) -> None:
         if l2_latency < 0 or l1_latency < 0:
             raise ValueError("latencies must be non-negative")
         self.l2_latency = l2_latency
         self.l1_latency = l1_latency
-        self.scale_l1_with_core = scale_l1_with_core
         self.cells_created = 0
         self.remote_fetches = 0
         self.forwards = 0
@@ -50,9 +48,7 @@ class DistributedMemoryModel(MemoryModel):
         n = action.reads + action.writes
         if n == 0:
             return 0.0
-        l1_hit = self.l1_latency
-        if self.scale_l1_with_core:
-            l1_hit = l1_hit * core.speed_factor
+        l1_hit = self.l1_latency * core.speed_factor
         hits = n * action.l1_hit_fraction
         misses = n - hits
         return hits * l1_hit + misses * self.l2_latency

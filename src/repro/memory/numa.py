@@ -39,7 +39,6 @@ class NumaMemoryModel(MemoryModel):
         bank_latency: float = 10.0,
         l1_latency: float = 1.0,
         coherence: Optional[CoherenceModel] = None,
-        scale_l1_with_core: bool = True,
         atomic_op_cycles: float = 2.0,
     ) -> None:
         if bank_latency < 0 or l1_latency < 0:
@@ -47,7 +46,6 @@ class NumaMemoryModel(MemoryModel):
         self.bank_latency = bank_latency
         self.l1_latency = l1_latency
         self.coherence = coherence or CoherenceModel()
-        self.scale_l1_with_core = scale_l1_with_core
         self.atomic_op_cycles = atomic_op_cycles
         self._home_cache: Dict[object, int] = {}
         self.local_accesses = 0
@@ -72,9 +70,7 @@ class NumaMemoryModel(MemoryModel):
         n = action.reads + action.writes
         if n == 0:
             return 0.0
-        l1_hit = self.l1_latency
-        if self.scale_l1_with_core:
-            l1_hit = l1_hit * core.speed_factor
+        l1_hit = self.l1_latency * core.speed_factor
         hits = n * action.l1_hit_fraction
         misses = n - hits
         home = self._home(action.obj, action.bank)

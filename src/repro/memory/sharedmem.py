@@ -34,7 +34,6 @@ class SharedMemoryModel(MemoryModel):
         bank_latency: float = DEFAULT_BANK_LATENCY,
         l1_latency: float = DEFAULT_L1_LATENCY,
         coherence: Optional[CoherenceModel] = None,
-        scale_l1_with_core: bool = True,
         atomic_op_cycles: float = 2.0,
     ) -> None:
         if bank_latency < 0 or l1_latency < 0 or atomic_op_cycles < 0:
@@ -42,16 +41,13 @@ class SharedMemoryModel(MemoryModel):
         self.bank_latency = bank_latency
         self.l1_latency = l1_latency
         self.coherence = coherence
-        self.scale_l1_with_core = scale_l1_with_core
         self.atomic_op_cycles = atomic_op_cycles
 
     def access(self, core, action) -> float:
         n = action.reads + action.writes
         if n == 0:
             return 0.0
-        l1_hit = self.l1_latency
-        if self.scale_l1_with_core:
-            l1_hit = l1_hit * core.speed_factor
+        l1_hit = self.l1_latency * core.speed_factor
         hits = n * action.l1_hit_fraction
         misses = n - hits
         cost = hits * l1_hit + misses * self.bank_latency

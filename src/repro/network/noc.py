@@ -55,9 +55,10 @@ class Noc:
 
     Parameters mirror the paper's tunables: per-link latency/bandwidth live
     in the topology's ``LinkSpec``s; ``router_penalty`` is the per-hop
-    routing cost; ``chunk_bytes`` the message chunk size; ``model_contention``
-    toggles per-link busy tracking (the optimistic shared-memory architecture
-    type ignores interconnect contention entirely and does not use a Noc).
+    routing cost; ``chunk_bytes`` the message chunk size.  Every message
+    occupies each link it crosses, so later messages queue behind it
+    (the optimistic shared-memory architecture type ignores interconnect
+    contention entirely and does not use a Noc).
     """
 
     def __init__(
@@ -65,7 +66,6 @@ class Noc:
         topo: Topology,
         router_penalty: float = 1.0,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        model_contention: bool = True,
         routing: Optional[RoutingTable] = None,
     ) -> None:
         if router_penalty < 0:
@@ -76,13 +76,11 @@ class Noc:
         self.routing = routing or RoutingTable(topo)
         self.router_penalty = router_penalty
         self.chunk_bytes = chunk_bytes
-        self.model_contention = model_contention
         self._n = topo.n_cores
         self._links: Dict[Tuple[int, int], Link] = {}
-        # Per-pair route entry [links, hops, base latency, serialization
-        # link, FIFO floor]: the path is static, so everything but the
-        # floor is resolved once per pair instead of per message; the
-        # floor is the pair's last arrival time.
+        # Per-pair route entry [links, hops, FIFO floor]: the path is
+        # static, so links and hops are resolved once per pair instead of
+        # per message; the floor is the pair's last arrival time.
         self._route_cache: Dict[int, list] = {}
         self._min_latency_memo: Dict[int, float] = {}
         self.stats = NocStats()
@@ -99,9 +97,9 @@ class Noc:
     def _route(self, key: int, src: int, dst: int) -> List:
         """Resolve a pair's route entry on its first message; the route
         is static for a simulation."""
-        path, latency = self.routing.route(src, dst)
+        path = self.routing.route(src, dst)[0]
         links = tuple(self._link(u, v) for u, v in zip(path, path[1:]))
-        entry = [links, len(path) - 1, latency, links[0], 0.0]
+        entry = [links, len(path) - 1, 0.0]
         self._route_cache[key] = entry
         return entry
 
@@ -120,20 +118,14 @@ class Noc:
         entry = self._route_cache.get(key)
         if entry is None:
             entry = self._route(key, src, dst)
-        links, hops, path_latency, first_link, floor = entry
+        links, hops, floor = entry
         stats = self.stats
-        if self.model_contention:
-            t = depart
-            penalty = self.router_penalty
-            for link in links:
-                before = link.contention_cycles
-                t = link.traverse(t, size_bytes) + penalty
-                stats.contention_cycles += link.contention_cycles - before
-        else:
-            # Latency + one serialization (pipelined/wormhole) + hop penalties.
-            t = depart + path_latency
-            t += first_link.serialization_time(size_bytes) + self.router_penalty * hops
-
+        t = depart
+        penalty = self.router_penalty
+        for link in links:
+            before = link.contention_cycles
+            t = link.traverse(t, size_bytes) + penalty
+            stats.contention_cycles += link.contention_cycles - before
         stats.messages += 1
         stats.total_bytes += size_bytes
         stats.total_hops += hops
@@ -142,7 +134,7 @@ class Noc:
         if t < floor:
             t = floor
             stats.fifo_adjustments += 1
-        entry[4] = t
+        entry[2] = t
         return t
 
     def min_latency(self, src: int, dst: int) -> float:
@@ -162,5 +154,5 @@ class Noc:
         for link in self._links.values():
             link.reset()
         for entry in self._route_cache.values():
-            entry[4] = 0.0
+            entry[2] = 0.0
         self.stats = NocStats()

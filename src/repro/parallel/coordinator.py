@@ -115,9 +115,9 @@ class ShardedMachine:
                 f"sharded backend supports sync policies "
                 f"{_SUPPORTED_SYNC}, not {cfg.sync!r} (global-referee "
                 f"policies have no shard-local decomposition)")
-        if cfg.shadow_mode != "fast":
+        if cfg.shadow == "exact":
             raise SimConfigError(
-                "sharded backend requires shadow_mode='fast'; exact "
+                "sharded backend does not support shadow='exact'; exact "
                 "mode needs a global recompute on every transition")
         self.cfg = cfg
         self.partition: Partition = contiguous_partition(
@@ -449,9 +449,7 @@ class ShardedMachine:
             busy_total += reply[5]
             if reply[6] is not None:
                 traces.append(reply[6])
-            # The telemetry snapshot is the (optional) 8th element; stub
-            # workers in the protocol tests send 7-tuples.
-            snap = reply[7] if len(reply) > 7 else None
+            snap = reply[7]
             if snap is not None:
                 self.worker_rounds[sid] = snap.pop("host_rounds", [])
                 obs_snaps.append(snap)

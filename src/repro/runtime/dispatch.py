@@ -26,8 +26,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.engine import Machine
 
-DISPATCH_POLICIES = ("occupancy", "speed_aware", "latency_aware", "random")
-
 
 class DispatchPolicy:
     """Chooses the probe target among a core's neighbours."""
@@ -139,16 +137,20 @@ class RandomDispatch(DispatchPolicy):
         return int(candidates[self._rng.integers(len(candidates))])
 
 
-def make_dispatch(name: str, **kwargs) -> DispatchPolicy:
-    """Factory: build a dispatch policy by name."""
-    table = {
-        "occupancy": OccupancyDispatch,
-        "speed_aware": SpeedAwareDispatch,
-        "latency_aware": LatencyAwareDispatch,
-        "random": RandomDispatch,
-    }
-    if name not in table:
+#: Every policy ``make_dispatch`` can build, by name.
+_DISPATCH = {
+    "occupancy": OccupancyDispatch,
+    "speed_aware": SpeedAwareDispatch,
+    "latency_aware": LatencyAwareDispatch,
+    "random": RandomDispatch,
+}
+DISPATCH_POLICIES = tuple(_DISPATCH)
+
+
+def make_dispatch(name: str) -> DispatchPolicy:
+    """Factory: build a dispatch policy by name, with its default settings."""
+    if name not in _DISPATCH:
         raise ValueError(
-            f"unknown dispatch policy {name!r}; choose from {sorted(table)}"
+            f"unknown dispatch policy {name!r}; choose from {sorted(_DISPATCH)}"
         )
-    return table[name](**kwargs)
+    return _DISPATCH[name]()

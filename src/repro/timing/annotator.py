@@ -54,11 +54,9 @@ class BlockAnnotator:
         self,
         cost_table: CostTable,
         predictor: Optional[BranchPredictorModel] = None,
-        sample_branches: bool = True,
     ) -> None:
         self.cost_table = cost_table
         self.predictor = predictor or BranchPredictorModel()
-        self.sample_branches = sample_branches
         self._static_cache: Dict[int, float] = {}
         self._repeat_cache: Dict[tuple, float] = {}
 
@@ -85,7 +83,7 @@ class BlockAnnotator:
         cost = self.base_cost(block)
         branches = block.cond_branches
         if branches:
-            if self.sample_branches and float(branches).is_integer():
+            if float(branches).is_integer():
                 cost += self.predictor.sample(int(branches))
             else:
                 cost += self.predictor.expected(branches)
@@ -143,7 +141,7 @@ class BlockAnnotator:
         cost += self.cost_table.cost_of(InstrClass.BRANCH_UNCOND, block.static_exits)
         cost += block.static_exits * self.predictor.static_exit_penalty()
         if cond_branches:
-            if self.sample_branches and float(cond_branches).is_integer():
+            if float(cond_branches).is_integer():
                 cost += self.predictor.sample(int(cond_branches))
             else:
                 cost += self.predictor.expected(cond_branches)

@@ -21,7 +21,7 @@ asserts:
 ``publish``
     After every advance of a core's clock: an active core's published time
     covers its virtual time, and published times never regress between
-    rescues (fast shadow mode publishes monotonically; a revoked
+    rescues (``fast`` and ``off`` publish monotonically; a revoked
     permission could wedge neighbours that already ran under it).  A
     serial rescue recompute may lower a shadow to the exact fixpoint,
     so the baseline restarts on every ``rescue`` event.
@@ -97,7 +97,7 @@ class Sanitizer:
         policy = machine.policy
         if getattr(policy, "checks_drift", False):
             events["admitted"] = self._check_admission
-        if machine.fabric.shadow_mode == "fast":
+        if machine.fabric.shadow != "exact":
             # Exact mode recomputes shadows: no monotone promise.
             events["advanced"] = self._check_publish
             events["rescue"] = self._restart_publish_baseline

@@ -4,7 +4,7 @@ entry point ever call?
 Not collected by tier-1 (the name is not ``test_*``); run it as a
 script (about 15 minutes on 2 vCPUs, ~25 with ``--tier1``)::
 
-    python tests/census.py [--tier1] [--json PATH]
+    python tests/census.py [--tier1] [--values] [--json PATH]
 
 It copies the working tree to a temporary directory (the figure suite
 rewrites ``benchmarks/results/*.txt``, the e2e harness writes
@@ -33,6 +33,14 @@ The report lists, per file, every function the entry points never call,
 with its line count (the ``def`` line through the last body line) and,
 under ``--tier1``, whether the tier-1 suite reaches it.
 
+``--values`` adds a value census beside the call census: the hook
+wraps ``ArchConfig.__post_init__`` (which ``dataclasses.replace`` runs
+too) as ``repro.arch.config`` loads, and records every field whose value
+differs from its default, per entry point.  A field that no entry point
+sets reads "default only": every caller takes the default, whichever
+branch the field selects -- which the call census cannot show, since a
+function is "called" whatever value its flag has.
+
 Four things make such a census under-report reach, and each is handled
 here:
 
@@ -56,7 +64,9 @@ from __future__ import annotations
 import argparse
 import ast
 import atexit
+import dataclasses
 import glob
+import importlib.machinery
 import json
 import os
 import shutil
@@ -85,6 +95,8 @@ EXAMPLE_ENV = {"REPRO_EXAMPLE_CORES": "16", "REPRO_EXAMPLE_SCALE": "tiny"}
 # ``<dump dir>/<pid>-<token>.json`` on the way out.
 
 _seen: Set = set()
+#: ``--values``: field name -> reprs of the non-default values seen.
+_values: Dict[str, Set[str]] = defaultdict(set)
 _dump_dir = ""
 _token = ""
 _dumping = False
@@ -113,13 +125,65 @@ def _dump() -> None:
              code.co_firstlineno)
             for code in list(_seen)
             if MARK in code.co_filename.replace(os.sep, "/")})
-        final = os.path.join(_dump_dir, f"{os.getpid()}-{_token}.json")
-        tmp = final + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, final)
+        _write(f"{os.getpid()}-{_token}.json", rows)
+        if _values:
+            _write(f"values/{os.getpid()}-{_token}.json",
+                   {"label": os.environ.get("CENSUS_LABEL", ""),
+                    "values": {k: sorted(v) for k, v in _values.items()}})
     finally:
         _dumping = False
+
+
+def _write(name: str, doc) -> None:
+    final = os.path.join(_dump_dir, name)
+    tmp = final + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh)
+    os.replace(tmp, final)
+
+
+def _differs(value, default) -> bool:
+    try:
+        return bool(value != default)
+    except ValueError:  # an array compares elementwise: no single truth
+        return True
+
+
+def _wrap_config(cls) -> None:
+    """Record, on every ``ArchConfig`` built, each field off its default."""
+    defaults = {
+        f.name: (f.default if f.default is not dataclasses.MISSING
+                 else f.default_factory())
+        for f in dataclasses.fields(cls)}
+    real = cls.__post_init__
+
+    def __post_init__(self):
+        for name, default in defaults.items():
+            value = getattr(self, name)
+            if _differs(value, default):
+                _values[name].add(repr(value)[:40])
+        real(self)
+
+    cls.__post_init__ = __post_init__
+
+
+class _ConfigFinder:
+    """Meta-path finder that wraps ``ArchConfig`` once its module ran."""
+
+    def find_spec(self, name, path, target=None):
+        if name != "repro.arch.config":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        if spec is None or spec.loader is None:
+            return spec
+        run = spec.loader.exec_module
+
+        def exec_module(module):
+            run(module)
+            _wrap_config(module.ArchConfig)
+
+        spec.loader.exec_module = exec_module
+        return spec
 
 
 def _exit(code):
@@ -135,10 +199,13 @@ def _on_term(signum, frame):
     os.kill(os.getpid(), signal.SIGTERM)
 
 
-def install(dump_dir: str) -> None:
+def install(dump_dir: str, values: bool = False) -> None:
     """Start recording in this process (called by sitecustomize)."""
     global _dump_dir
     _dump_dir = dump_dir
+    if values:
+        os.makedirs(os.path.join(dump_dir, "values"), exist_ok=True)
+        sys.meta_path.insert(0, _ConfigFinder())
     _new_token()
     os.register_at_fork(after_in_child=_new_token)
     atexit.register(_dump)
@@ -160,7 +227,7 @@ import importlib.util as _util
 _spec = _util.spec_from_file_location("_census_hook", {hook!r})
 _hook = _util.module_from_spec(_spec)
 _spec.loader.exec_module(_hook)
-_hook.install({dump_dir!r})
+_hook.install({dump_dir!r}, values={values!r})
 pytest_runtest_call = _hook.pytest_runtest_call
 """
 
@@ -202,7 +269,8 @@ def reached(dump_dir: str) -> Set[Tuple[str, int]]:
     Waits (up to 10 s) for stragglers -- a daemon child or resource
     tracker can still be writing after the command that started it."""
     deadline = time.monotonic() + 10.0
-    while (glob.glob(os.path.join(dump_dir, "*.tmp"))
+    while ((glob.glob(os.path.join(dump_dir, "*.tmp"))
+            or glob.glob(os.path.join(dump_dir, "values", "*.tmp")))
            and time.monotonic() < deadline):
         time.sleep(0.1)
     out = set()
@@ -210,6 +278,31 @@ def reached(dump_dir: str) -> Set[Tuple[str, int]]:
         with open(path) as fh:
             out.update(map(tuple, json.load(fh)))
     return out
+
+
+def values_seen(dump_dir: str) -> Dict[str, Dict[str, List[str]]]:
+    """``--values``: field -> entry point -> the non-default values it
+    set.  Call after :func:`reached`, which waits for stragglers."""
+    out: Dict[str, Dict[str, Set[str]]] = defaultdict(
+        lambda: defaultdict(set))
+    for path in glob.glob(os.path.join(dump_dir, "values", "*.json")):
+        with open(path) as fh:
+            doc = json.load(fh)
+        for name, vals in doc["values"].items():
+            out[name][doc["label"]].update(vals)
+    return {name: {label: sorted(vals) for label, vals in sorted(by.items())}
+            for name, by in out.items()}
+
+
+def config_fields(src_root: str) -> List[str]:
+    """``ArchConfig``'s field names, in order, read from the source."""
+    path = os.path.join(src_root, "repro", "arch", "config.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ArchConfig")
+    return [node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign)]
 
 
 # -- the entry points ------------------------------------------------------
@@ -322,9 +415,11 @@ def _service_smoke(env: Dict[str, str], tmp: str) -> int:
         proc.stdout.close()
 
 
-def run_set(points, root: str, dump_dir: str) -> List[str]:
+def run_set(points, root: str, dump_dir: str,
+            values: bool = False) -> List[str]:
     """Run every entry point in ``root``; return the labels that failed
-    (a failure still counts what it reached)."""
+    (a failure still counts what it reached).  Each runs with its label
+    in ``CENSUS_LABEL``, which the value census files its rows under."""
     # The examples read EXAMPLE_ENV; nothing else does.
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                PYTHONUNBUFFERED="1", **EXAMPLE_ENV)
@@ -332,19 +427,20 @@ def run_set(points, root: str, dump_dir: str) -> List[str]:
     with open(os.path.join(root, "src", "sitecustomize.py"), "w") as fh:
         fh.write(SITECUSTOMIZE.format(
             hook=os.path.join(root, "tests", "census.py"),
-            dump_dir=dump_dir))
+            dump_dir=dump_dir, values=values))
     failed = []
     for label, cmd in points:
         t0 = time.monotonic()
+        point_env = dict(env, CENSUS_LABEL=label)
         if callable(cmd):
             try:
-                code = cmd(env)
+                code = cmd(point_env)
             except Exception as exc:  # noqa: BLE001 - reported, not fatal
                 print(f"    {label}: {exc!r}", file=sys.stderr)
                 code = 1
         else:
             code = subprocess.run(
-                cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                cmd, cwd=root, env=point_env, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL).returncode
         print(f"  {label:28s} exit {code:3d}  {time.monotonic() - t0:6.1f} s",
               file=sys.stderr)
@@ -404,11 +500,30 @@ def print_report(doc: dict, failed: List[str], with_tier1: bool) -> None:
             print(f"  {r['line']:5d}  {r['name']:48s} {r['lines']:4d}{mark}")
 
 
+def print_values(fields: List[str], seen: dict) -> None:
+    """``--values``: per ``ArchConfig`` field, the entry points that set
+    it off its default and the values they set (up to four shown)."""
+    print("\nvalue census: ArchConfig fields set off their default")
+    for name in fields:
+        by = seen.get(name)
+        if not by:
+            print(f"  {name:28s} default only")
+            continue
+        vals = sorted({v for vs in by.values() for v in vs})
+        more = f" (+{len(vals) - 4})" if len(vals) > 4 else ""
+        print(f"  {name:28s} {len(by):2d} entry points: "
+              f"{', '.join(vals[:4])}{more}")
+        print(f"  {'':28s} {', '.join(by)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Call census of src/repro/ over the entry points.")
     parser.add_argument("--tier1", action="store_true",
                         help="also run the tier-1 suite as a second set")
+    parser.add_argument("--values", action="store_true",
+                        help="also record, per entry point, every "
+                             "ArchConfig field set off its default")
     parser.add_argument("--json", metavar="PATH",
                         help="write the report as JSON")
     args = parser.parse_args(argv)
@@ -421,7 +536,7 @@ def main(argv=None) -> int:
         os.chdir(root)
         print("entry points:", file=sys.stderr)
         entry_dumps = os.path.join(tmp, "entry")
-        failed = run_set(entry_points(tmp), root, entry_dumps)
+        failed = run_set(entry_points(tmp), root, entry_dumps, args.values)
         tier1 = None
         if args.tier1:
             print("tier-1:", file=sys.stderr)
@@ -436,6 +551,10 @@ def main(argv=None) -> int:
                      reached(entry_dumps), tier1)
         doc["failed"] = failed
         print_report(doc, failed, args.tier1)
+        if args.values:
+            doc["values"] = values_seen(entry_dumps)
+            print_values(config_fields(os.path.join(root, "src")),
+                         doc["values"])
         if out:
             with open(out, "w") as fh:
                 json.dump(doc, fh, indent=1)

@@ -198,9 +198,11 @@ class TestOlderSnapshotsAreRefused:
     ``ArchConfig(**config)`` or be replayed as if it were a virtual
     time.  A version-3 capture still holds the ``inbox_len`` column and
     must be a version error, not a replay mismatch; a version-4 config
-    still names the three retired round-protocol settings."""
+    still names the three retired round-protocol settings, and a
+    version-5 config the five retired model-variant switches and the
+    two-field shadow setting."""
 
-    @pytest.mark.parametrize("old", [2, 3, 4])
+    @pytest.mark.parametrize("old", [2, 3, 4, 5])
     def test_older_file_is_a_version_error(self, old, tmp_path):
         import struct
 
@@ -208,7 +210,7 @@ class TestOlderSnapshotsAreRefused:
                                       CheckpointVersionError)
         from repro.checkpoint.codec import MAGIC
 
-        assert CHECKPOINT_VERSION == 5
+        assert CHECKPOINT_VERSION == 6
         snap, _, _ = split_run(serial_cfg(), QUICKSORT, 2000.0)
         path = str(tmp_path / "old.ckpt")
         save_snapshot(snap, path)

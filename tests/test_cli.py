@@ -5,6 +5,9 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.sync import POLICIES
+from repro.runtime.dispatch import DISPATCH_POLICIES
+from repro.service.hashing import PRESETS
 
 
 def run_cli(*argv):
@@ -41,6 +44,28 @@ class TestInfo:
         assert code == 0
         assert "drift bound T" in text
         assert "100" in text
+
+    def test_presets_are_the_ones_a_spec_accepts(self):
+        code, text = run_cli("info")
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith("architecture presets:"))
+        named = line.split(":", 1)[1].replace(",", " ").split()
+        assert named == list(PRESETS)
+
+
+class TestVocabulary:
+    """The CLI's choices are the registries', not copies of them."""
+
+    @pytest.mark.parametrize("flag,registry", [
+        ("--sync", POLICIES), ("--dispatch", DISPATCH_POLICIES)],
+        ids=["sync", "dispatch"])
+    def test_run_accepts_every_registry_name(self, flag, registry):
+        for name in registry:
+            args = build_parser().parse_args(
+                ["run", "quicksort", flag, name])
+            assert getattr(args, flag[2:]) == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "quicksort", flag, "nope"])
 
 
 class TestRun:

@@ -83,14 +83,14 @@ def test_single_core_every_memory(memory):
 
 
 @pytest.mark.parametrize("t_bound", [25.0, 100.0, 2000.0])
-@pytest.mark.parametrize("shadow_mode", ["fast", "exact"])
-def test_drift_shadow_matrix(t_bound, shadow_mode):
+@pytest.mark.parametrize("shadow", ["fast", "exact", "off"])
+def test_drift_shadow_matrix(t_bound, shadow):
     cfg = ArchConfig(
         name="matrix-drift",
         n_cores=16,
         memory="shared",
         drift_bound=t_bound,
-        shadow_mode=shadow_mode,
+        shadow=shadow,
     )
     workload = get_workload("octree", scale="tiny", seed=0)
     machine = build_machine(cfg)

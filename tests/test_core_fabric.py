@@ -14,10 +14,10 @@ from repro.network.topology import (from_adjacency, mesh2d, ring,
 INF = math.inf
 
 
-def make_fabric(topo=None, T=100.0, shadow=True, mode="exact", hook=None):
+def make_fabric(topo=None, T=100.0, shadow="exact", hook=None):
     return VirtualTimeFabric(
-        topo or mesh2d(3, 3), drift_bound=T, shadow_enabled=shadow,
-        shadow_mode=mode, on_publish_increase=hook,
+        topo or mesh2d(3, 3), drift_bound=T, shadow=shadow,
+        on_publish_increase=hook,
     )
 
 
@@ -28,7 +28,7 @@ class TestClockBasics:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            make_fabric(mode="weird")
+            make_fabric(shadow="weird")
 
     def test_activation_sets_vtime(self):
         fabric = make_fabric()
@@ -76,7 +76,7 @@ class TestDriftRule:
         assert fabric.drift_ok(4)
 
     def test_stall_when_ahead_of_neighbor(self):
-        fabric = make_fabric(shadow=False)
+        fabric = make_fabric(shadow="off")
         fabric.set_active(0, 0.0)
         fabric.set_active(1, 0.0)
         fabric.advance(0, 150.0)
@@ -84,14 +84,14 @@ class TestDriftRule:
         assert fabric.drift_ok(1)
 
     def test_exactly_at_bound_ok(self):
-        fabric = make_fabric(shadow=False)
+        fabric = make_fabric(shadow="off")
         fabric.set_active(0, 0.0)
         fabric.set_active(1, 0.0)
         fabric.advance(0, 100.0)
         assert fabric.drift_ok(0)
 
     def test_unstall_when_neighbor_catches_up(self):
-        fabric = make_fabric(shadow=False)
+        fabric = make_fabric(shadow="off")
         fabric.set_active(0, 0.0)
         fabric.set_active(1, 0.0)
         fabric.advance(0, 150.0)
@@ -104,7 +104,7 @@ class TestDriftRule:
         assert fabric.drift_ok(3)
 
     def test_floor_is_most_late_neighbor(self):
-        fabric = make_fabric(shadow=False, topo=mesh2d(3, 1))
+        fabric = make_fabric(shadow="off", topo=mesh2d(3, 1))
         fabric.set_active(0, 30.0)
         fabric.set_active(1, 0.0)
         fabric.set_active(2, 70.0)
@@ -113,7 +113,7 @@ class TestDriftRule:
 
     def test_publish_hook_called(self):
         seen = []
-        fabric = make_fabric(hook=seen.append, shadow=False)
+        fabric = make_fabric(hook=seen.append, shadow="off")
         fabric.set_active(0, 0.0)
         fabric.advance(0, 10.0)
         assert 0 in seen
@@ -121,7 +121,7 @@ class TestDriftRule:
 
 class TestBirthLedger:
     def test_birth_constrains_floor(self):
-        fabric = make_fabric(shadow=False, topo=mesh2d(2, 1))
+        fabric = make_fabric(shadow="off", topo=mesh2d(2, 1))
         fabric.set_active(0, 0.0)
         fabric.set_active(1, 0.0)
         fabric.advance(0, 50.0)
@@ -160,7 +160,7 @@ class TestBirthLedger:
 class TestShadowTime:
     def test_exact_shadow_is_distance_scaled(self):
         """shadow(i) = min over active a of (vtime(a) + T * hops)."""
-        fabric = make_fabric(topo=mesh2d(4, 1), T=100.0, mode="exact")
+        fabric = make_fabric(topo=mesh2d(4, 1), T=100.0)
         fabric.set_active(0, 1000.0)
         snapshot = fabric.snapshot()
         assert snapshot["published"][1] == 1100.0
@@ -168,7 +168,7 @@ class TestShadowTime:
         assert snapshot["published"][3] == 1300.0
 
     def test_exact_shadow_two_sources(self):
-        fabric = make_fabric(topo=mesh2d(5, 1), T=10.0, mode="exact")
+        fabric = make_fabric(topo=mesh2d(5, 1), T=10.0)
         fabric.set_active(0, 0.0)
         fabric.set_active(4, 100.0)
         published = fabric.snapshot()["published"]
@@ -178,7 +178,7 @@ class TestShadowTime:
 
     def test_non_connected_sets_problem_solved(self):
         """Figure 2: idle cores between two active sets propagate time."""
-        fabric = make_fabric(topo=mesh2d(5, 1), T=100.0, mode="exact")
+        fabric = make_fabric(topo=mesh2d(5, 1), T=100.0)
         fabric.set_active(0, 0.0)
         fabric.set_active(4, 0.0)
         fabric.advance(0, 500.0)
@@ -190,13 +190,13 @@ class TestShadowTime:
         assert fabric.drift_ok(4)
 
     def test_shadow_disabled_publishes_inf(self):
-        fabric = make_fabric(shadow=False)
+        fabric = make_fabric(shadow="off")
         fabric.set_active(0, 5.0)
         fabric.set_idle(0)
         assert math.isinf(fabric.published[0])
 
     def test_fast_mode_monotone_published(self):
-        fabric = make_fabric(mode="fast", topo=mesh2d(3, 1))
+        fabric = make_fabric(shadow="fast", topo=mesh2d(3, 1))
         fabric.set_active(0, 0.0)
         fabric.advance(0, 50.0)
         fabric.set_idle(0)
@@ -207,7 +207,7 @@ class TestShadowTime:
 
     def test_fast_mode_relaxation_terminates_without_anchor(self):
         """The mutual-amplification loop between idle cores must not hang."""
-        fabric = make_fabric(mode="fast", topo=mesh2d(4, 1), T=10.0)
+        fabric = make_fabric(shadow="fast", topo=mesh2d(4, 1), T=10.0)
         fabric.set_active(0, 0.0)
         fabric.set_active(1, 0.0)
         fabric.set_active(2, 0.0)
@@ -219,7 +219,7 @@ class TestShadowTime:
         assert fabric.published[1] <= fabric.max_vtime + fabric.T + 1e-9
 
     def test_refresh_shadows_restores_exact_fixpoint(self):
-        fabric = make_fabric(mode="fast", topo=mesh2d(4, 1), T=100.0)
+        fabric = make_fabric(shadow="fast", topo=mesh2d(4, 1), T=100.0)
         fabric.set_active(0, 1000.0)
         fabric.refresh_shadows()
         assert fabric.published[1] == 1100.0
@@ -232,7 +232,7 @@ class TestShadowTime:
 
 class TestDriftQuery:
     def test_drift_value(self):
-        fabric = make_fabric(shadow=False, topo=mesh2d(2, 1))
+        fabric = make_fabric(shadow="off", topo=mesh2d(2, 1))
         fabric.set_active(0, 0.0)
         fabric.set_active(1, 0.0)
         fabric.advance(0, 80.0)
@@ -240,7 +240,7 @@ class TestDriftQuery:
         assert fabric.drift(1) == pytest.approx(-80.0)
 
     def test_drift_unconstrained_is_minus_inf(self):
-        fabric = make_fabric(shadow=False, topo=mesh2d(2, 1))
+        fabric = make_fabric(shadow="off", topo=mesh2d(2, 1))
         fabric.set_active(0, 10.0)
         assert fabric.drift(0) == -INF
 
@@ -255,8 +255,7 @@ class TestDriftQuery:
 def test_exact_shadow_invariant_random_schedules(advances):
     """Exact shadows always equal min over active of (vtime + T*hops)."""
     topo = mesh2d(4, 1)
-    fabric = VirtualTimeFabric(topo, drift_bound=10.0, shadow_enabled=True,
-                               shadow_mode="exact")
+    fabric = VirtualTimeFabric(topo, drift_bound=10.0, shadow="exact")
     for c in range(2):
         fabric.set_active(c, 0.0)
     for cid, delta in advances:
@@ -346,7 +345,7 @@ def test_refresh_shadows_matches_bfs_oracle(topo, share):
     rng = random.Random(n + int(share * 100))
     T = 100.0 / 3.0
     notified = []
-    fabric = make_fabric(topo, T=T, mode="fast", hook=notified.append)
+    fabric = make_fabric(topo, T=T, shadow="fast", hook=notified.append)
     linked = [c for c in range(n) if fabric._neighbors[c]]
     sources = rng.sample(linked, max(1, int(n * share)))
     starts = [rng.choice((0.0, 12.5, 99.9, 250.0, 1e3 / 7)) for _ in sources]
@@ -374,7 +373,7 @@ def test_refresh_shadows_matches_bfs_oracle(topo, share):
     assert _hex(planes) == _hex(expected)
 
 
-@pytest.mark.parametrize("shadow", [True, False], ids=["shadows", "bare"])
+@pytest.mark.parametrize("shadow", ["fast", "off"], ids=["shadows", "bare"])
 @pytest.mark.parametrize("topo", [mesh2d(3, 3), ring(6), mesh2d(8, 8)],
                          ids=["mesh3x3", "ring6", "mesh8x8"])
 def test_floor_cache_stays_a_lower_bound(topo, shadow):
@@ -391,7 +390,7 @@ def test_floor_cache_stays_a_lower_bound(topo, shadow):
     for seed in range(20):
         rng = random.Random(seed)
         fabric = make_fabric(topo, T=rng.choice((10.0, 100.0)),
-                             shadow=shadow, mode="fast")
+                             shadow=shadow)
         lb = fabric._floor_lb
         births = []
         now = 0.0

@@ -98,10 +98,6 @@ class TestPolicyFactory:
         with pytest.raises(ValueError):
             make_policy("nonsense")
 
-    def test_kwargs_forwarded(self):
-        policy = make_policy("quantum", quantum=42.0)
-        assert policy.quantum == 42.0
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             GlobalQuantumSync(quantum=0)

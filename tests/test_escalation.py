@@ -63,9 +63,10 @@ def scripted_worker(script):
                     ctrl_conn.send(
                         ("status", progressed, sent, live, min_time))
                 elif cmd[0] == "stop":
+                    # The worker's 8-tuple: no trace, no telemetry.
                     ctrl_conn.send(("done", SimStats(n_cores=cfg.n_cores),
                                     {0: "stub-result"}, {0: 42.0}, {},
-                                    0.0, None))
+                                    0.0, None, None))
                     return
         except BaseException as exc:
             ctrl_conn.send(("error", sid, repr(exc),

@@ -61,7 +61,7 @@ def _highest_neighbour(fabric):
 def _pair(width, T, mode):
     calls = ([], [])
     fabrics = tuple(
-        cls(mesh2d(width), drift_bound=T, shadow_mode=mode,
+        cls(mesh2d(width), drift_bound=T, shadow=mode,
             on_publish_increase=log.append)
         for cls, log in zip((VirtualTimeFabric, _ReferenceFabric), calls))
     return fabrics, calls

@@ -228,13 +228,13 @@ def test_golden_numbers_sanitized_on_the_shipped_path(run):
 # The rows above run at 8 or 16 cores, where rescues are rare.  These two
 # 64-core rows run the exact shadow fixpoint hundreds of times on real
 # traffic: conservative sync's rescue rounds, and spatial sync with
-# ``shadow_mode="exact"`` (the shadow ablation's exact arm).  Captured at
+# ``shadow="exact"`` (the shadow ablation's exact arm).  Captured at
 # commit 02b3403.
 
 #: (benchmark, memory, sync policy, cores, scale, seed, config overrides)
 FIXPOINT_GOLDEN_RUNS = (
     ("octree", "shared", "conservative", 64, "tiny", 0, {}),
-    ("octree", "shared", "spatial", 64, "tiny", 0, {"shadow_mode": "exact"}),
+    ("octree", "shared", "spatial", 64, "tiny", 0, {"shadow": "exact"}),
 )
 
 

@@ -26,7 +26,7 @@ class TestGlobalDriftBound:
     @pytest.mark.parametrize("T", [50.0, 100.0, 500.0])
     def test_bound_holds_exact_shadow(self, T):
         cfg = dataclasses.replace(
-            shared_mesh(16), drift_bound=T, shadow_mode="exact"
+            shared_mesh(16), drift_bound=T, shadow="exact"
         )
         machine = build_machine(cfg)
         recorder = DriftRecorder(machine)
@@ -49,7 +49,7 @@ class TestGlobalDriftBound:
         stalls = {}
         for T in (50.0, 1000.0):
             cfg = dataclasses.replace(
-                shared_mesh(16), drift_bound=T, shadow_mode="exact"
+                shared_mesh(16), drift_bound=T, shadow="exact"
             )
             machine = build_machine(cfg)
             machine.run(recursive_root(6, cycles=80.0))
@@ -57,7 +57,7 @@ class TestGlobalDriftBound:
         assert stalls[50.0] > stalls[1000.0]
 
     def test_workload_drift_bounded(self):
-        cfg = dataclasses.replace(shared_mesh(16), shadow_mode="exact")
+        cfg = dataclasses.replace(shared_mesh(16), shadow="exact")
         machine = build_machine(cfg)
         recorder = DriftRecorder(machine)
         workload = get_workload("octree", scale="tiny", seed=0)

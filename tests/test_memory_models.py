@@ -141,18 +141,11 @@ class TestSharedMemoryModel:
         assert model.access(self._Core(), MemAccess()) == 0.0
 
     def test_l1_scales_with_core_speed(self):
-        model = SharedMemoryModel(scale_l1_with_core=True)
+        model = SharedMemoryModel()
         action = MemAccess(reads=10, l1_hit_fraction=1.0)
         slow = model.access(self._Core(speed=2.0), action)
         fast = model.access(self._Core(speed=1.0), action)
         assert slow == 2 * fast
-
-    def test_l1_fixed_in_referee_mode(self):
-        model = SharedMemoryModel(scale_l1_with_core=False)
-        action = MemAccess(reads=10, l1_hit_fraction=1.0)
-        assert model.access(self._Core(speed=2.0), action) == model.access(
-            self._Core(speed=1.0), action
-        )
 
     def test_coherence_penalty_included(self):
         coherent = SharedMemoryModel(coherence=CoherenceModel())

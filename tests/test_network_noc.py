@@ -46,14 +46,6 @@ class TestDeliveryTime:
         assert noc.stats.contention_cycles > 0
         assert second > 0
 
-    def test_no_contention_mode(self):
-        noc = Noc(mesh2d(2, 1), model_contention=False)
-        a = noc.delivery_time(0, 1, 64, 0.0)
-        b = noc.delivery_time(0, 1, 64, 0.0)
-        # FIFO still enforces ordering but both see identical raw latency.
-        assert b >= a
-        assert noc.stats.contention_cycles == 0
-
     def test_min_latency(self):
         noc = Noc(mesh2d(4, 1), router_penalty=1.0)
         assert noc.min_latency(0, 0) == 0.0

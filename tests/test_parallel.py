@@ -166,9 +166,11 @@ def test_sharded_machine_rejects_global_referee_policies():
         with pytest.raises(SimConfigError, match="sync"):
             ShardedMachine(cfg)
     cfg = dataclasses.replace(shared_mesh(16), shards=2, backend="sharded",
-                              shadow_mode="exact")
-    with pytest.raises(SimConfigError, match="shadow_mode"):
+                              shadow="exact")
+    with pytest.raises(SimConfigError, match="shadow='exact'"):
         ShardedMachine(cfg)
+    # Only exact is refused: "off" keeps monotone publishing.
+    ShardedMachine(dataclasses.replace(cfg, shadow="off"))
 
 
 # -- fence semantics (serial backend, in-process) -------------------------
@@ -280,7 +282,7 @@ def test_run_shard_waiver_runs_despite_drift():
 
 def test_exact_fixpoint_matches_fabric_recompute():
     topo = square_mesh(16)
-    fabric = VirtualTimeFabric(topo, drift_bound=7.0, shadow_mode="exact")
+    fabric = VirtualTimeFabric(topo, drift_bound=7.0, shadow="exact")
     for cid, t in ((0, 12.0), (5, 30.0), (15, 4.0)):
         fabric.set_active(cid, t)
     fabric.refresh_shadows()

@@ -39,10 +39,6 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_dispatch("psychic")
 
-    def test_kwargs_forwarded(self):
-        policy = make_dispatch("latency_aware", latency_weight=2.0)
-        assert policy.latency_weight == 2.0
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LatencyAwareDispatch(latency_weight=-1.0)

@@ -8,12 +8,14 @@ bound, sync policy, shard fences, workload identity) must separate.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.arch import ArchConfig, dist_mesh, shared_mesh
 from repro.arch.io import (NON_SEMANTIC_FIELDS, config_canonical_dict,
-                           config_content_hash)
+                           config_content_hash, config_from_json)
+from repro.core.errors import SimConfigError
 from repro.dse import SweepSpecError, expand_sweep
 from repro.service import SpecError, canonical_json, resolve_spec, spec_hash
 
@@ -42,11 +44,13 @@ class TestConfigIdentity:
         kernel-selection and inbox-toggle fields were) must not orphan
         any on-disk result store.  Removing a semantic field does move
         them — they were re-taken when the round protocol's window and
-        batch settings left ArchConfig, so an older store re-simulates."""
+        batch settings left ArchConfig, and again when the five
+        model-variant switches left and the two shadow fields became
+        one, so an older store re-simulates."""
         assert config_content_hash(shared_mesh(64)) == (
-            "6b702a433bed2fe4cc35d00f537473e856f83c0427c28343f6726053b93c36cc")
+            "26cfbc9d2abb9fa5144bdd8810ec3292059fa6958f6e91ce45b1252dd2114026")
         assert config_content_hash(dist_mesh(64)) == (
-            "9b2a3be009be91b9ad0a6ee588dcb64450d020e15c1bac22137a3840935c39ab")
+            "d51f7c2c2cb1f473faa3f41fecdb78ac9f91c29d41d4b1e28e4b0af62fc7f68c")
 
     def test_label_is_not_semantic(self):
         a = shared_mesh(16)
@@ -106,10 +110,12 @@ class TestSpecHash:
         """Literal pin of a whole spec hash.  Schema 2 moved every spec
         hash (schema 1 gave ``c24250d1...``): stores written before every
         document carried the packed-trace digest re-simulate instead of
-        serving a document with an old-form digest, or none."""
+        serving a document with an old-form digest, or none.  It moved
+        again, schema unchanged, when semantic fields left the config
+        (the same removal that moves the config-hash pins above)."""
         assert resolve_spec(BASE).canonical["schema"] == 2
         assert _hash_of(BASE) == (
-            "7ce73b5ac6bab4a190d3737969192dc56b0f19bbb162acb93bf621159a3ea002")
+            "40d25ef340c28104cc4ff120628752ea45ae97c33ca9d4aa6927c632d6f7ac77")
 
     def test_defaults_are_explicit(self):
         """Omitting a field and stating its default hash identically."""
@@ -193,9 +199,9 @@ class TestSpecValidation:
         {"slice_actions": 0},
         {"queue_capacity": 0},
         {"chunk_bytes": 0},
-        {"sync_kwargs": "x"},
-        {"sync_kwargs": {"bogus": 1}},
-        {"dispatch_kwargs": {"bogus": 1}},
+        {"shadow": "nope"},
+        {"shadow": True},
+        {"shadow": "on"},
         {"n_cores": 4, "speed_factors": [1, 2]},
         {"n_cores": 4, "speed_factors": [1, 0, 1, 1]},
         {"n_cores": 4, "speed_factors": [1, "a", 2, 3]},
@@ -219,18 +225,30 @@ class TestSpecValidation:
     #: for the old names stays empty.
     RETIRED_FIELDS = ("engine" "_kernel", "inbox" "_heap",
                       "adaptive" "_window", "window" "_max_factor",
-                      "round" "_batch")
+                      "round" "_batch",
+                      "model" "_contention", "sample" "_branches",
+                      "scale_l1" "_with_core", "sync" "_kwargs",
+                      "dispatch" "_kwargs", "shadow" "_enabled",
+                      "shadow" "_mode")
 
     @pytest.mark.parametrize("field", RETIRED_FIELDS)
     def test_retired_fields_are_unknown_not_type_errors(self, field):
         """Old clients naming a retired field get the structured 400 of
-        any unknown field — from the spec resolver and the sweep-axis
-        parser alike — never a TypeError out of ArchConfig(**...)."""
+        any unknown field — from the spec resolver, the sweep-axis
+        parser and a sweep's base section alike — and a config file
+        naming one is refused by name: never a TypeError out of
+        ArchConfig(**...)."""
         with pytest.raises(SpecError, match="unknown arch field"):
             resolve_spec({"workload": {"benchmark": "quicksort"},
                           "arch": {field: True}})
         with pytest.raises(SweepSpecError, match="unknown sweep axis"):
             expand_sweep({"base": BASE, "axes": {f"arch.{field}": [True]}})
+        with pytest.raises(SweepSpecError, match=f"cell 0.*{field}"):
+            expand_sweep({"base": {"workload": BASE["workload"],
+                                   "arch": {field: True}},
+                          "axes": {"workload.seed": [0]}})
+        with pytest.raises(SimConfigError, match=field):
+            config_from_json(json.dumps({field: True}))
 
     def test_arch_section_optional(self):
         spec = resolve_spec({"workload": {"benchmark": "quicksort",

@@ -8,11 +8,10 @@ from repro.timing.branch import BranchPredictorModel
 from repro.timing.isa import InstrClass, default_cost_table
 
 
-def make_annotator(accuracy=1.0, sample=True):
+def make_annotator(accuracy=1.0):
     return BlockAnnotator(
         default_cost_table(),
         predictor=BranchPredictorModel(accuracy=accuracy, seed=0),
-        sample_branches=sample,
     )
 
 
@@ -62,9 +61,10 @@ class TestAnnotator:
         assert annot.cost(block) == pytest.approx(10.0)
 
     def test_expected_mode_for_fractional_branches(self):
-        annot = make_annotator(accuracy=0.9, sample=False)
-        block = Block("b", cond_branches=100)
-        assert annot.cost(block) == pytest.approx(100 * 1.0 + 0.1 * 5.0 * 100)
+        annot = make_annotator(accuracy=0.9)
+        block = Block("b", cond_branches=100.5)
+        assert annot.cost(block) == pytest.approx(
+            100.5 * 1.0 + 0.1 * 5.0 * 100.5)
 
     def test_cost_repeated_zero(self):
         annot = make_annotator()

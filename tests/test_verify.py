@@ -81,7 +81,7 @@ class TestSanitizerCleanRuns:
         assert build_machine(shared_mesh(16)).fabric._floor_cache_on is True
         for sanitize in (False, True):
             exact = build_machine(dataclasses.replace(
-                shared_mesh(16), shadow_mode="exact", sanitize=sanitize))
+                shared_mesh(16), shadow="exact", sanitize=sanitize))
             assert exact.fabric._floor_cache_on is False
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork workers")
