@@ -32,6 +32,10 @@ CLUSTER_INTRA_LATENCY = 0.5
 #: faster by 3/2 — identical cumulated computing power.
 POLY_SLOW_FACTOR = 2.0
 POLY_FAST_FACTOR = 2.0 / 3.0
+#: Sync policies the sharded backend runs.  The others arbitrate through
+#: *global* referee state (a total event order, a global quantum, ...)
+#: that has no shard-local decomposition.
+SHARDED_SYNC = ("spatial", "unbounded")
 
 
 @dataclass
@@ -142,10 +146,21 @@ class ArchConfig:
         if self.shards < 0 or self.shards > self.n_cores:
             raise SimConfigError(
                 f"shards must be in [0, n_cores], got {self.shards}")
-        if self.backend == "sharded" and self.shards < 1:
-            raise SimConfigError(
-                "the sharded backend needs shards >= 1 "
-                "(e.g. --shards 4)")
+        if self.backend == "sharded":
+            if self.shards < 1:
+                raise SimConfigError(
+                    "the sharded backend needs shards >= 1 "
+                    "(e.g. --shards 4)")
+            if self.sync not in SHARDED_SYNC:
+                raise SimConfigError(
+                    f"sharded backend supports sync policies "
+                    f"{SHARDED_SYNC}, not {self.sync!r} (global-referee "
+                    f"policies have no shard-local decomposition)")
+            if self.shadow == "exact":
+                raise SimConfigError(
+                    "sharded backend does not support shadow='exact'; "
+                    "exact mode needs a global recompute on every "
+                    "transition")
         # Everything below is what building a machine would reject:
         # the factories and EngineParams apply their own rules here, so
         # a spec they refuse fails at submission, never inside a worker.

@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", type=_sizes, default=(0,))
     # Design-space exploration options (sweep-spec mode only).
     sweep.add_argument("--jobs", type=int, default=2, metavar="N",
-                       help="concurrent simulation workers (default 2)")
+                       help="concurrent simulations, each in a process "
+                            "of its own (default 2)")
     sweep.add_argument("--backend", choices=("serial", "sharded"),
                        default=None,
                        help="override the base arch backend for every "
@@ -190,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8123,
                        help="bind port (default 8123; 0 = ephemeral)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="simulation worker threads (default 2)")
+                       help="concurrent simulations, each in a process "
+                            "of its own (default 2)")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="max queued jobs before submissions get a "
                             "503 (default 64)")
@@ -534,7 +536,7 @@ def _cmd_serve(args, out) -> int:
     print(f"repro service listening on {service.base_url}", file=out)
     print(f"  result cache : {service.store.root} "
           f"({len(service.store)} cached)", file=out)
-    print(f"  worker pool  : {args.workers} threads, "
+    print(f"  worker pool  : {args.workers} processes, "
           f"queue depth {args.queue_depth}, "
           f"job timeout {args.job_timeout:g}s", file=out)
     print("  try          : curl -s "

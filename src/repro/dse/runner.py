@@ -11,7 +11,8 @@ single decision buys the fleet properties for free:
   a sweep after an interrupt (or after changing one axis) only simulates
   the new hashes; the ``service.simulations_started`` counter is the
   proof, and tests pin it;
-* **concurrency** — ``--jobs N`` is simply the worker-pool width;
+* **concurrency** — ``--jobs N`` is the worker-pool width: N cells
+  simulate at once, each in a process of its own, on N host cores;
 * **failure isolation** — a crashed or timed-out cell fails *that* job;
   the sweep records the cell as ``failed`` and carries on;
 * **de-duplication** — two cells that resolve to the same semantic

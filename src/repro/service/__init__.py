@@ -13,10 +13,10 @@ questions and never answers the same question twice:
   hash, with atomic writes and verbatim byte serving, so a cached
   answer is returned bit-identically.
 * :mod:`repro.service.queue` — a bounded worker pool that executes
-  jobs through the existing serial/sharded backends
-  (:func:`repro.arch.build_backend`), de-duplicates concurrent
-  identical submissions, enforces per-job timeouts, and drains
-  in-flight jobs on shutdown.
+  each job, in a process of its own, through the existing
+  serial/sharded backends (:func:`repro.arch.build_backend`),
+  de-duplicates concurrent identical submissions, stops a job at its
+  timeout, and drains in-flight jobs on shutdown.
 * :mod:`repro.service.api` — the stdlib-only
   (:class:`http.server.ThreadingHTTPServer`) JSON API over the above,
   started with ``python -m repro serve``.

@@ -85,6 +85,10 @@ class SimulationService:
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self.host, self.port = self.httpd.server_address[:2]
+        # http.server's shutdown() waits for a serve loop to stop, so it
+        # must not be called for one that never started.
+        self._serve_lock = threading.Lock()
+        self._serving = self._closed = False
 
     @property
     def base_url(self) -> str:
@@ -92,6 +96,10 @@ class SimulationService:
 
     def serve_forever(self) -> None:
         """Serve until :meth:`close` (or ``httpd.shutdown``) is called."""
+        with self._serve_lock:
+            if self._closed:
+                return
+            self._serving = True
         self.httpd.serve_forever(poll_interval=0.2)
 
     def close(self, drain: bool = True,
@@ -102,9 +110,13 @@ class SimulationService:
         within ``timeout`` (see :meth:`JobQueue.shutdown`).  Safe to
         call from a signal/main thread while ``serve_forever`` runs in
         another — and, because ``shutdown`` only flags the serve loop,
-        also safe the other way around.
+        also safe the other way around, and when nothing ever served.
         """
-        self.httpd.shutdown()
+        with self._serve_lock:
+            self._closed = True
+            serving = self._serving
+        if serving:
+            self.httpd.shutdown()
         self.httpd.server_close()
         return self.queue.shutdown(drain=drain, timeout=timeout)
 
@@ -124,12 +136,9 @@ class SimulationService:
                  include_result: bool = False) -> Dict[str, Any]:
         """A job's wire representation: summary + result/telemetry."""
         body = job.summary()
-        if job.state == "running" and job.backend is not None:
-            from ..obs import collect_live_snapshot
-
-            snap = collect_live_snapshot(job.backend)
-            if snap is not None:
-                body["telemetry_live"] = snap
+        snap = job.telemetry_live
+        if job.state == "running" and snap is not None:
+            body["telemetry_live"] = snap
         if include_result and job.state == "done":
             body["result"] = job.document
         return body

@@ -28,7 +28,6 @@ from repro.arch import polymorphic_shared, shared_mesh
 from repro.dse import (BUDGETS, CostModel, SweepSpecError, SystemBudget,
                        expand_sweep, frame_csv, frame_json, pareto_chart,
                        resolve_budget, run_sweep)
-from repro.service.queue import JobQueue
 
 BASE = {
     "arch": {"preset": "shared_mesh"},
@@ -242,10 +241,12 @@ class TestSweepDeterminism:
                     reason="needs fork workers")
 def test_sharded_cells_from_pool_threads_never_hang_at_fork(tmp_path):
     # CI's sharded sweep family: two pool threads each start sharded
-    # cells.  A worker forked while the sibling thread held the
-    # resource tracker's lock blocked in SharedRoundBoard.attach until
-    # the cell timed out (most runs hung before the fork lock).  A
-    # clean run takes well under a second.
+    # cells.  When cells ran on those threads, a shard worker forked
+    # while the sibling thread held the resource tracker's lock blocked
+    # in SharedRoundBoard.attach until the cell timed out (most runs
+    # hung before the fork lock).  Each cell now runs in a job process
+    # of its own, which forks its shard workers from its one thread.
+    # A clean run takes well under a second.
     family = spec(axes={"arch.n_cores": [9, 16],
                         "arch.memory": ["shared", "distributed"],
                         "arch.drift_bound": [50, 200]},
@@ -259,16 +260,21 @@ def test_sharded_cells_from_pool_threads_never_hang_at_fork(tmp_path):
 
 
 class TestFailureIsolation:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="a patched executor reaches only forked job processes")
     def test_one_crashing_cell_does_not_sink_the_sweep(self, tmp_path,
                                                        monkeypatch):
-        real = JobQueue._execute
+        import repro.service.queue as queue_mod
 
-        def flaky(self, job):
-            if job.spec.cfg.n_cores == 16:
+        real = queue_mod._execute
+
+        def flaky(spec, *args):
+            if spec.cfg.n_cores == 16:
                 raise RuntimeError("boom")
-            return real(self, job)
+            return real(spec, *args)
 
-        monkeypatch.setattr(JobQueue, "_execute", flaky)
+        monkeypatch.setattr(queue_mod, "_execute", flaky)
         plan = expand_sweep(spec(axes={"arch.n_cores": [9, 16, 25]}))
         outcome = run_sweep(plan, store_dir=str(tmp_path / "s"), jobs=2)
         by_index = {c["index"]: c for c in outcome.frame["cells"]}

@@ -160,17 +160,20 @@ def test_builder_attaches_fence():
 
 
 def test_sharded_machine_rejects_global_referee_policies():
+    # ArchConfig refuses them, so a spec naming one is a 400 at
+    # submission rather than a job that fails when its backend builds.
     for sync in ("conservative", "quantum", "bounded_slack", "laxp2p"):
-        cfg = dataclasses.replace(shared_mesh(16), shards=2,
-                                  backend="sharded", sync=sync)
         with pytest.raises(SimConfigError, match="sync"):
-            ShardedMachine(cfg)
-    cfg = dataclasses.replace(shared_mesh(16), shards=2, backend="sharded",
-                              shadow="exact")
+            dataclasses.replace(shared_mesh(16), shards=2,
+                                backend="sharded", sync=sync)
     with pytest.raises(SimConfigError, match="shadow='exact'"):
-        ShardedMachine(cfg)
+        dataclasses.replace(shared_mesh(16), shards=2, backend="sharded",
+                            shadow="exact")
     # Only exact is refused: "off" keeps monotone publishing.
-    ShardedMachine(dataclasses.replace(cfg, shadow="off"))
+    ShardedMachine(dataclasses.replace(shared_mesh(16), shards=2,
+                                       backend="sharded", shadow="off"))
+    with pytest.raises(SimConfigError, match="backend='sharded'"):
+        ShardedMachine(dataclasses.replace(shared_mesh(16), shards=2))
 
 
 # -- fence semantics (serial backend, in-process) -------------------------

@@ -208,6 +208,8 @@ class TestSpecValidation:
         {"parallelism_sample_interval": "x"},
         {"parallelism_sample_interval": 0},
         {"parallelism_sample_interval": -3},
+        {"backend": "sharded", "shards": 2, "shadow": "exact"},
+        {"backend": "sharded", "shards": 2, "sync": "quantum"},
     ]
 
     @pytest.mark.parametrize("arch", HOSTILE_ARCH)
