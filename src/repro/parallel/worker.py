@@ -45,12 +45,22 @@ control pipe:
 Module-level entry point (``worker_main``) so the ``spawn`` start
 method can import it in the child process; under ``fork`` the child
 simply inherits it.
+
+A worker outlives its coordinator only briefly: a coordinator that dies
+without unwinding (SIGKILL) neither stops its workers nor unlinks the
+board, and the control pipe need not report EOF (a worker forked later
+holds the coordinator's end of an earlier worker's pipe).  So each
+worker watches its parent and, once it is gone, unlinks the board and
+exits (:func:`_exit_with_coordinator`).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 import traceback
+from multiprocessing import shared_memory
 from typing import Dict, List
 
 import numpy as np
@@ -62,6 +72,9 @@ from ..core.messages import Message, MsgKind
 from . import channels
 from .channels import SharedRoundBoard, decode_batch, encode_batch
 
+#: Seconds between a worker's checks that its coordinator still lives.
+ORPHAN_CHECK_S = 0.5
+
 
 def worker_main(sid: int, cfg, specs, edge_conns: Dict[int, object],
                 ctrl_conn, board_name: str) -> None:
@@ -71,6 +84,9 @@ def worker_main(sid: int, cfg, specs, edge_conns: Dict[int, object],
     ``ctrl_conn`` is the coordinator control channel; ``board_name``
     identifies the shared round board to attach to.
     """
+    threading.Thread(target=_exit_with_coordinator,
+                     args=(os.getppid(), board_name),
+                     name=f"repro-shard-{sid}-watch", daemon=True).start()
     try:
         _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name)
     except SanitizerViolation as exc:  # structured: re-raised coordinator-side
@@ -87,6 +103,24 @@ def worker_main(sid: int, cfg, specs, edge_conns: Dict[int, object],
                             traceback.format_exc()))
         except Exception:
             pass
+
+
+def _exit_with_coordinator(coordinator: int, board_name: str) -> None:
+    """Once this worker's parent is no longer ``coordinator``, unlink
+    the board (the dead coordinator cannot) and end the process.
+
+    Runs in a thread of its own, so the round loop pays nothing for it.
+    The unlink bypasses :meth:`SharedRoundBoard.unlink`: its
+    ``FORK_LOCK`` was held by the coordinator when it forked this
+    process, so here it is held for good.
+    """
+    while os.getppid() == coordinator:
+        time.sleep(ORPHAN_CHECK_S)
+    try:
+        shared_memory.SharedMemory(name=board_name).unlink()
+    except OSError:  # already unlinked, by a sibling or the coordinator
+        pass
+    os._exit(1)
 
 
 def _worker_loop(sid, cfg, specs, edge_conns, ctrl_conn, board_name) -> None:
