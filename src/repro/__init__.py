@@ -24,24 +24,23 @@ Packages:
 * :mod:`repro.arch` — architecture configs and paper presets;
 * :mod:`repro.workloads` — the six dwarf benchmarks;
 * :mod:`repro.harness` — per-figure experiment runners and reports.
+
+The names below resolve on first use (:mod:`repro._lazy`): importing
+``repro`` loads none of these packages.
 """
 
-from .arch import (
-    ArchConfig,
-    build_machine,
-    clustered_dist,
-    dist_mesh,
-    numa_mesh,
-    polymorphic_dist,
-    polymorphic_shared,
-    shared_mesh,
-    shared_mesh_validation,
-    single_core,
-)
-from .core import EngineParams, Machine, SimDeadlock, SimError, TaskGroup
-from .cyclelevel import build_cycle_level_machine
-from .runtime import SimLock
-from .workloads import BENCHMARKS, get_workload
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".arch": ("ArchConfig", "build_machine", "clustered_dist", "dist_mesh",
+              "numa_mesh", "polymorphic_dist", "polymorphic_shared",
+              "shared_mesh", "shared_mesh_validation", "single_core"),
+    ".core": ("EngineParams", "Machine", "SimDeadlock", "SimError",
+              "TaskGroup"),
+    ".cyclelevel": ("build_cycle_level_machine",),
+    ".runtime": ("SimLock",),
+    ".workloads": ("BENCHMARKS", "get_workload"),
+})
 
 __version__ = "1.0.0"
 

@@ -41,6 +41,7 @@ from .arch import (
     polymorphic_shared,
     shared_mesh,
 )
+from .core.errors import SimConfigError
 from .core.sync import POLICIES
 from .runtime.dispatch import DISPATCH_POLICIES
 from .workloads import BENCHMARKS, SCALE_PARAMS
@@ -288,13 +289,14 @@ def _make_config(args):
 
 def _cmd_run(args, out) -> int:
     from .arch import build_backend
-    from .checkpoint import checkpoint_kwargs, load_snapshot, save_snapshot
     from .parallel import WorkloadSpec
 
     if args.checkpoint_every is not None and not args.checkpoint:
         raise SystemExit("--checkpoint-every requires --checkpoint PATH")
     snap = None
     if args.resume:
+        from .checkpoint import load_snapshot
+
         snap = load_snapshot(args.resume)
         cfg, specs = snap.rebuild_config(), snap.rebuild_workloads()
         print(f"resuming {snap.kind} run from {args.resume} at vtime "
@@ -306,17 +308,19 @@ def _cmd_run(args, out) -> int:
         specs = [WorkloadSpec(args.benchmark, scale=args.scale,
                               seed=args.seed, memory=cfg.memory,
                               root_core=0)]
-    written = []
+    written, hooks = [], {}
+    if args.checkpoint or args.resume:  # else repro.checkpoint stays unloaded
+        from .checkpoint import checkpoint_kwargs, save_snapshot
 
-    def sink(snapshot):
-        written.append(save_snapshot(snapshot, args.checkpoint))
+        def sink(snapshot):
+            written.append(save_snapshot(snapshot, args.checkpoint))
 
+        hooks = checkpoint_kwargs(cfg, specs, every=args.checkpoint_every,
+                                  sink=sink, resume=snap)
     backend = build_backend(cfg)
     if cfg.backend == "sharded":
         print(backend.describe(), file=out)
-    results = backend.run_workloads(
-        specs, **checkpoint_kwargs(cfg, specs, every=args.checkpoint_every,
-                                   sink=sink, resume=snap))
+    results = backend.run_workloads(specs, **hooks)
     stats = backend.stats
     spec, result = specs[0], results[0]
     vtime = stats.completion_vtime
@@ -529,10 +533,13 @@ def _cmd_serve(args, out) -> int:
 
     from .service import SimulationService
 
-    service = SimulationService(
-        store_dir=args.store, host=args.host, port=args.port,
-        workers=args.workers, depth=args.queue_depth,
-        job_timeout_s=args.job_timeout, quiet=not args.verbose)
+    try:
+        service = SimulationService(
+            store_dir=args.store, host=args.host, port=args.port,
+            workers=args.workers, depth=args.queue_depth,
+            job_timeout_s=args.job_timeout, quiet=not args.verbose)
+    except ValueError as exc:  # the queue's refusal of a pool size
+        raise SystemExit(str(exc))
     print(f"repro service listening on {service.base_url}", file=out)
     print(f"  result cache : {service.store.root} "
           f"({len(service.store)} cached)", file=out)
@@ -607,6 +614,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _cmd_serve(args, out)
     except BrokenPipeError:  # downstream pager/head closed; not an error
         return 0
+    except SimConfigError as exc:  # a config the build refuses
+        raise SystemExit(str(exc))
     raise SystemExit(2)  # pragma: no cover
 
 

@@ -4,6 +4,8 @@ Opt-in via ``ArchConfig.telemetry`` (CLI ``--telemetry[=spec]``); see
 ``docs/observability.md`` for the full story.  Everything here is
 observation-only — enabling telemetry never changes simulation results
 (golden numbers are pinned with it on in ``tests/test_obs.py``).
+The exports resolve on first use, so a run without telemetry loads
+neither the registry nor the Chrome-trace writer.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ import json
 import os
 from typing import Optional
 
-from .chrome_trace import build_chrome_trace, validate_chrome_trace
-from .profiler import SamplingProfiler, profile_phases
-from .registry import (TELEMETRY_PARTS, Histogram, MetricsRegistry, Telemetry,
-                       merge_snapshots, parse_spec)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".chrome_trace": ("build_chrome_trace", "validate_chrome_trace"),
+    ".profiler": ("SamplingProfiler", "profile_phases"),
+    ".registry": ("TELEMETRY_PARTS", "Histogram", "MetricsRegistry",
+                  "Telemetry", "merge_snapshots", "parse_spec"),
+})
 
 __all__ = [
     "TELEMETRY_PARTS", "Histogram", "MetricsRegistry", "Telemetry",
@@ -57,6 +63,8 @@ def write_outputs(out_dir: str, metrics: Optional[dict] = None,
                   timeline: Optional[dict] = None) -> dict:
     """Write ``metrics.json`` / ``timeline.json`` under ``out_dir``
     (created if missing); returns ``{name: path}`` for what was written."""
+    from .chrome_trace import validate_chrome_trace
+
     os.makedirs(out_dir, exist_ok=True)
     written = {}
     if metrics is not None:

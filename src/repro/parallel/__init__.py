@@ -14,11 +14,19 @@ contiguous mesh regions in separate worker processes:
 * :mod:`~repro.parallel.worker` — the per-shard worker process;
 * :mod:`~repro.parallel.coordinator` — the :class:`ShardedMachine`
   lockstep driver (windows, global shadow rescue, stats merge).
+
+Names resolve on first use: a serial run that only describes its
+workloads (``WorkloadSpec``) loads neither the coordinator nor the
+worker, nor ``multiprocessing``.
 """
 
-from .channels import WorkloadSpec
-from .coordinator import ShardedMachine
-from .partition import Partition, contiguous_partition
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".channels": ("WorkloadSpec",),
+    ".coordinator": ("ShardedMachine",),
+    ".partition": ("Partition", "contiguous_partition"),
+})
 
 __all__ = [
     "Partition",

@@ -46,8 +46,6 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from multiprocessing import shared_memory
-
 from ..core.fabric import INF
 from ..core.messages import Message, MsgKind
 
@@ -181,6 +179,10 @@ class SharedRoundBoard:
     @classmethod
     def create(cls, n_cores: int, n_shards: int) -> "SharedRoundBoard":
         """Allocate and zero-initialize a board (coordinator side)."""
+        # Here, not at module level: a serial run holds WorkloadSpecs
+        # and would otherwise load multiprocessing for nothing.
+        from multiprocessing import shared_memory
+
         with FORK_LOCK:
             shm = shared_memory.SharedMemory(
                 create=True, size=cls._nbytes(n_cores, n_shards))
@@ -204,6 +206,8 @@ class SharedRoundBoard:
         A worker-side ``unregister`` would clobber that shared
         registration and make the final unlink warn.
         """
+        from multiprocessing import shared_memory
+
         shm = shared_memory.SharedMemory(name=name)
         return cls(n_cores, n_shards, shm)
 

@@ -69,6 +69,7 @@ from ..core.errors import (SanitizerViolation, SimConfigError, SimDeadlock,
 from ..core.fabric import INF, exact_shadow_fixpoint
 from ..core.stats import COUNTER_FIELDS, SimStats
 from ..obs.registry import ROUND_MS_BOUNDS, WINDOW_BOUNDS
+from ..workloads import preload
 from . import channels
 from .channels import (SharedRoundBoard, make_edge_channels,
                        resolve_start_method)
@@ -193,6 +194,11 @@ class ShardedMachine:
                 f"snapshot holds {len(verify_states)} shard states but "
                 f"this run has {self.partition.n_shards} shards; restoring "
                 "onto a different shard count is not supported")
+        # Forked workers inherit the dwarfs imported here; each would
+        # otherwise compile the modules of the specs it resolves.
+        for spec in specs:
+            if not spec.factory:
+                preload(spec.benchmark)
         t_start = time.perf_counter()
         self._t0 = t_start  # wall-clock origin for telemetry events
         self._deadline = None if timeout is None else t_start + timeout

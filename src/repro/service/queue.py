@@ -44,7 +44,8 @@ queue's process:
   terminal's Ctrl-C or a supervisor sends to the whole process group:
   the server drains on either, so its jobs run on to their results.
 
-The queue imports everything a job runs when it starts, and calls
+The queue imports everything a job runs when it starts, and each
+dwarf (with scipy, for ``spmxv``) before its first job; it calls
 :func:`gc.freeze` before each fork, so a job process imports nothing
 and its collector never walks (and so never copies) the parent's heap.
 Where the host cannot fork (``resolve_start_method()`` returns
@@ -72,6 +73,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import SimTimeout
 from ..obs.registry import MetricsRegistry
+from ..workloads import preload
 from .hashing import ResolvedSpec
 from .store import ResultStore
 
@@ -421,8 +423,11 @@ class JobQueue:
         this process already holds: walking them would write their
         headers and copy their pages, in every child.  The child starts
         with :data:`_JOB_SIGNALS` blocked, so none of them reaches it
-        before :func:`_job_main` has set what it does.
+        before :func:`_job_main` has set what it does.  The job's dwarf
+        is imported here first (:func:`repro.workloads.preload`), once
+        per server, so this job and later ones inherit it.
         """
+        preload(job.spec.workload["benchmark"])
         with self._spawn_lock:
             if self._stopping:
                 return None
@@ -584,14 +589,16 @@ def _import_job_path() -> None:
 
     Called once when a queue starts, so a forked job process inherits
     them all and imports nothing (under ``PYTHONDONTWRITEBYTECODE=1``
-    each child would otherwise compile them again).  scipy stays at its
-    use site, the sparse generators of ``spmxv``: loading it here would
-    cost every server ~15 MB and ~0.13 s for that one workload.
+    each child would otherwise compile them again).  The packages
+    resolve their exports on first use, so each module is named here.
+    A job's dwarf, and what it imports at its use site (numpy's RNG;
+    scipy, for ``spmxv``), is left to :func:`repro.workloads.preload`
+    before each fork: a server imports only the dwarfs it runs, and
+    loading scipy here would cost every server ~15 MB and ~0.13 s.
     """
-    import numpy.random  # noqa: F401  (numpy loads it lazily)
-
-    from .. import checkpoint, obs, workloads  # noqa: F401
+    from .. import checkpoint  # noqa: F401
     from ..harness import results, trace  # noqa: F401
+    from ..obs import profiler, registry  # noqa: F401
     from ..parallel import coordinator, worker  # noqa: F401
 
 

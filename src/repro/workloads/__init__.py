@@ -14,20 +14,19 @@ Use :func:`get_workload` to build an instance:
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import importlib
+from types import ModuleType
 
-from . import barnes_hut, connected_components, dijkstra, octree, quicksort, spmxv
-from .base import (
-    DataSpace,
-    DistSpace,
-    SharedSpace,
-    WorkloadRun,
-    make_space,
-    spread_home,
-)
-from .generators import SCALE_PARAMS, params_for
+from .._lazy import lazy_exports
 
-#: The six dwarfs, in the paper's presentation order.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("DataSpace", "DistSpace", "SharedSpace", "WorkloadRun",
+              "make_space", "spread_home"),
+    ".generators": ("SCALE_PARAMS", "params_for"),
+})
+
+#: The six dwarfs, in the paper's presentation order.  Each is the
+#: module of its name, whose ``make_workload`` builds an instance.
 BENCHMARKS = (
     "barnes_hut",
     "connected_components",
@@ -45,33 +44,31 @@ VALIDATION_BENCHMARKS = (
     "spmxv",
 )
 
-
-def _make_quicksort(scale="small", seed=0, memory="shared", **kwargs):
-    if memory == "distributed":
-        return quicksort.make_distributed(scale=scale, seed=seed, **kwargs)
-    return quicksort.make_shared(scale=scale, seed=seed, **kwargs)
-
-
-_FACTORIES: Dict[str, Callable[..., WorkloadRun]] = {
-    "quicksort": _make_quicksort,
-    "connected_components": connected_components.make_workload,
-    "dijkstra": dijkstra.make_workload,
-    "barnes_hut": barnes_hut.make_workload,
-    "spmxv": spmxv.make_workload,
-    "octree": octree.make_workload,
-}
+def _dwarf(name: str) -> ModuleType:
+    if name not in BENCHMARKS:
+        raise ValueError(
+            f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}")
+    return importlib.import_module(f"{__name__}.{name}")
 
 
 def get_workload(name: str, scale: str = "small", seed: int = 0,
                  memory: str = "shared", **kwargs) -> WorkloadRun:
-    """Build a benchmark instance by name."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown benchmark {name!r}; choose from {sorted(_FACTORIES)}"
-        ) from exc
-    return factory(scale=scale, seed=seed, memory=memory, **kwargs)
+    """Build a benchmark instance by name; imports that dwarf only."""
+    return _dwarf(name).make_workload(scale=scale, seed=seed, memory=memory,
+                                      **kwargs)
+
+
+def preload(name: str) -> None:
+    """Import everything building dwarf ``name`` loads — its module and
+    what its generators import at their use site — so that a process
+    forked afterwards (a shard worker, a service job) imports nothing to
+    build it.  An unknown name is left for :func:`get_workload` to
+    refuse where the instance is built."""
+    if name in BENCHMARKS:
+        _dwarf(name)
+        import numpy.random  # noqa: F401  (numpy loads its RNG on first use)
+        if name == "spmxv":
+            import scipy.sparse  # noqa: F401  (spmxv only: ~0.13 s, ~15 MB)
 
 
 __all__ = [
@@ -85,5 +82,6 @@ __all__ = [
     "get_workload",
     "make_space",
     "params_for",
+    "preload",
     "spread_home",
 ]

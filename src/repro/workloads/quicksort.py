@@ -310,3 +310,12 @@ def _native_dist_sort(values: List[int], node: BstNode) -> None:
     node.right = BstNode()
     _native_dist_sort([v for v in values if v < pivot], node.left)
     _native_dist_sort([v for v in values if v > pivot], node.right)
+
+
+def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
+                  **kwargs) -> WorkloadRun:
+    """Quicksort workload instance: the list/BST version on distributed
+    memory, the array version otherwise."""
+    if memory == "distributed":
+        return make_distributed(scale=scale, seed=seed, **kwargs)
+    return make_shared(scale=scale, seed=seed, **kwargs)

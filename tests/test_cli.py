@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +131,23 @@ class TestRun:
         with pytest.raises(SystemExit, match="--shards"):
             run_cli("run", "quicksort", "--cores", "16", "--scale", "tiny",
                     "--backend", "sharded")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "octree", "--cores", "0"),
+        ("run", "octree", "--cores", "16", "--backend", "sharded",
+         "--shards", "32"),
+        ("serve", "--workers", "0", "--port", "0"),
+    ], ids=["no-cores", "more-shards-than-cores", "no-workers"])
+    def test_refused_config_is_one_line(self, argv, tmp_path):
+        # A process of its own: what a user sees is stderr and the code.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 class TestSweep:

@@ -605,8 +605,9 @@ class TestCheckpointRecovery:
 
 
 #: Run in a fresh interpreter: serial and sharded jobs, one of them
-#: checkpointing with live telemetry, each job process recording what
-#: it imported into ``argv[1]``.
+#: checkpointing with live telemetry and one building spmxv (whose
+#: scipy the queue imports before that job's fork), each job process
+#: recording what it imported into ``argv[1]``.
 _IMPORT_PROBE = textwrap.dedent("""
     import json, os, sys
     import repro.service.queue as queue_mod
@@ -630,7 +631,8 @@ _IMPORT_PROBE = textwrap.dedent("""
             (serial, "quicksort", {}),
             (sharded, "quicksort", {}),
             (serial, "connected_components",
-             {"checkpoint_every": 500, "telemetry": "all"})):
+             {"checkpoint_every": 500, "telemetry": "all"}),
+            (serial, "spmxv", {})):
         job = jq.submit(resolve_spec({
             "arch": arch, "options": options,
             "workload": {"benchmark": benchmark, "scale": "tiny"}}))
@@ -649,7 +651,7 @@ class TestJobProcesses:
         subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                        env=env, check=True, timeout=300)
         records = sorted(tmp_path.glob("job-*.json"))
-        assert len(records) == 3
+        assert len(records) == 4
         for record in records:
             assert json.loads(record.read_text()) == [], record.name
 
