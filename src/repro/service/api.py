@@ -69,6 +69,8 @@ class SimulationService:
     def __init__(self, store_dir: str, host: str = "127.0.0.1",
                  port: int = 8123, workers: int = 2, depth: int = 64,
                  job_timeout_s: float = 300.0, quiet: bool = True) -> None:
+        # Refuse a bad pool size before the store creates its directory.
+        JobQueue.check_workers(workers)
         self.registry = MetricsRegistry()
         self.store = ResultStore(store_dir)
         self.queue = JobQueue(self.store, workers=workers, depth=depth,

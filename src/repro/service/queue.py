@@ -232,8 +232,7 @@ class JobQueue:
     def __init__(self, store: ResultStore, workers: int = 2,
                  depth: int = 64, default_timeout_s: float = 300.0,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
+        self.check_workers(workers)
         self.store = store
         self.registry = registry if registry is not None else MetricsRegistry()
         self.default_timeout_s = default_timeout_s
@@ -262,6 +261,12 @@ class JobQueue:
         ]
         for t in self._threads:
             t.start()
+
+    @staticmethod
+    def check_workers(workers: int) -> None:
+        """Raise ``ValueError`` unless ``workers`` is a usable pool size."""
+        if workers < 1:
+            raise ValueError(f"need at least one worker, got {workers}")
 
     # -- submission ------------------------------------------------------
     def submit(self, spec: ResolvedSpec) -> Job:

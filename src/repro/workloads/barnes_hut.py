@@ -7,13 +7,16 @@ the phase starts.  Each body's computation is independent; the resulting
 communication patterns are highly irregular because different bodies
 traverse different, overlapping parts of the tree.
 
-Datasets follow the paper: 128- and 200-body sets.  Verification compares
-accelerations against a sequential run of the identical tree algorithm.
+Datasets follow the paper: 128- and 200-body sets.  The output is one
+``array('d')`` of 3 doubles (ax, ay, az) per body, in body order; a body
+left without an acceleration reads NaN.  Verification compares it against
+a sequential run of the identical tree algorithm.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -209,6 +212,18 @@ def force_task(ctx, space: DataSpace, bodies, tree_handles, root_node,
         accels[idx] = accel
 
 
+#: Stands in for a body the force phase left without an acceleration.
+_MISSING = (math.nan, math.nan, math.nan)
+
+
+def _pack(accels) -> array:
+    """Flatten per-body (ax, ay, az) tuples into one ``array('d')``."""
+    out = array("d")
+    for accel in accels:
+        out.extend(_MISSING if accel is None else accel)
+    return out
+
+
 def _flatten(node: BHNode, out: List[BHNode]) -> None:
     out.append(node)
     for child in node.children:
@@ -240,19 +255,19 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
                               0, n_bodies, group)
         yield ctx.join(group)
         done = yield ctx.now()
-        return {"output": accels, "work_vtime": done}
-
-    expected = [_accel_on(body_list, i, tree) for i in range(n_bodies)]
-
-    def verify(result):
-        assert len(result) == n_bodies
-        for got, want in zip(result, expected):
-            assert got is not None, "missing acceleration"
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-9 * max(1.0, abs(w)), "acceleration mismatch"
+        return {"output": _pack(accels), "work_vtime": done}
 
     def native():
-        return [_accel_on(body_list, i, tree) for i in range(n_bodies)]
+        return _pack(_accel_on(body_list, i, tree) for i in range(n_bodies))
+
+    expected = native()
+
+    def verify(result):
+        assert len(result) == 3 * n_bodies
+        for got, want in zip(result, expected):
+            assert not math.isnan(got), "missing acceleration"
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), \
+                "acceleration mismatch"
 
     return WorkloadRun(
         name="barnes_hut",

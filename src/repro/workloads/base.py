@@ -137,6 +137,16 @@ class WorkloadRun:
     harness check program correctness and normalize simulation time
     (paper Fig. 7) for every benchmark uniformly.
 
+    Output contract: the root returns ``{"output": out, "work_vtime":
+    t}`` where ``out`` is one flat, typed ``array.array`` on either
+    backend, and ``native()`` returns the same type.  The typecode is
+    ``'q'`` for quicksort (both versions) and connected_components
+    labels, ``'d'`` for octree objects, dijkstra distances (``inf`` =
+    unreachable), spmxv's ``y`` and barnes_hut (3 doubles per body, in
+    body order; NaN where a body got no acceleration).  ``verify``
+    accepts that array, and ``==`` between two of them is a bool, so
+    result dicts still compare with ``==``.
+
     Example::
 
         from repro import build_machine, get_workload

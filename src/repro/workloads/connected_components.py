@@ -9,12 +9,15 @@ on the distributed-memory architecture (Figs. 8-9).
 
 Labels are minimum-propagated: every node ends up tagged with the smallest
 start-node id of its component, which an independent union-find reference
-verifies.
+verifies.  The output is the labels in node order, as one ``array('q')``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from typing import List, Optional
+
+import numpy as np
 
 from .base import DataSpace, WorkloadRun, make_space, spread_home
 from .generators import adjacency_lists, params_for, random_graph
@@ -119,16 +122,18 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
             )
         yield ctx.join(group)
         done = yield ctx.now()
-        out = []
+        out = array("q")
         for v in range(nodes):
             out.append((yield from space.read(ctx, tags[v])))
         return {"output": out, "work_vtime": done}
 
-    expected = _reference_components(nodes, edge_list)
+    expected = np.array(_reference_components(nodes, edge_list),
+                        dtype=np.int64)
 
     def verify(result):
         assert len(result) == nodes
-        assert result == expected, "component labels disagree with union-find"
+        assert np.array_equal(np.asarray(result), expected), \
+            "component labels disagree with union-find"
 
     def native():
         tags: List[Optional[int]] = [None] * nodes
@@ -142,7 +147,7 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
                     continue
                 tags[node] = start
                 stack.extend(adj[node])
-        return tags
+        return array("q", tags)
 
     return WorkloadRun(
         name="connected_components",

@@ -13,14 +13,17 @@ shared-memory architecture (up to 4282x in the paper).  On distributed
 memory, the per-node distance cells ping-pong between explorers and
 performance collapses (Fig. 9).
 
-Verification compares against a sequential Dijkstra reference
-(``_reference``), pinned equal to networkx by ``tests/test_workloads.py``.
+The output is one ``array('d')`` of distances from the source, ``inf``
+where a node is unreachable.  Verification compares it against a
+sequential Dijkstra reference (``_reference``), pinned equal to networkx
+by ``tests/test_workloads.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from typing import List, Optional, Tuple
 
 from .base import DataSpace, WorkloadRun, make_space, spread_home
@@ -127,7 +130,7 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
         )
         yield ctx.join(group)
         done = yield ctx.now()
-        out = []
+        out = array("d")
         for v in range(nodes):
             d = yield from space.read(ctx, dists[v])
             out.append(math.inf if d is None else d)
@@ -150,7 +153,7 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
             dists[node] = dist
             for nbr, weight in adj[node]:
                 stack.append((nbr, dist + weight))
-        return [math.inf if d is None else d for d in dists]
+        return array("d", [math.inf if d is None else d for d in dists])
 
     return WorkloadRun(
         name="dijkstra",

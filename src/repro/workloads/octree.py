@@ -7,12 +7,14 @@ runs 50 randomly generated octrees of depth 6.
 Each task updates its node's objects and spawns one task per child
 subtree; subtrees are disjoint, so there are no data dependencies between
 tasks — making Octree (with Quicksort and SpMxV) representative of the
-simulator's intrinsic behaviour.
+simulator's intrinsic behaviour.  The output is every node's objects in
+pre-order, as one ``array('d')``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from typing import Dict, Optional
 
 from .base import DataSpace, WorkloadRun, make_space, spread_home
 from .generators import OctreeNode, octree_size, params_for, random_octree
@@ -56,7 +58,7 @@ def update_task(ctx, space: DataSpace, handles: Dict[int, object],
         )
 
 
-def _collect(node: OctreeNode, out: List[float]) -> None:
+def _collect(node: OctreeNode, out: array) -> None:
     out.extend(node.objects)
     for child in node.children:
         _collect(child, out)
@@ -94,13 +96,13 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
         )
         yield ctx.join(group)
         done = yield ctx.now()
-        out: List[float] = []
+        out = array("d")
         _collect(tree, out)
         return {"output": out, "work_vtime": done}
 
     reference_tree = fresh_tree()
     _native_update(reference_tree)
-    expected: List[float] = []
+    expected = array("d")
     _collect(reference_tree, expected)
 
     def verify(result):
@@ -111,7 +113,7 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
     def native():
         t = fresh_tree()
         _native_update(t)
-        out: List[float] = []
+        out = array("d")
         _collect(t, out)
         return out
 

@@ -19,10 +19,14 @@ An instance of either version is a recipe: it holds ``(n, seed)`` and
 regenerates its dataset where that data is used, when the root starts,
 when ``verify`` checks an output and when ``native`` runs.  A resolved
 instance therefore holds no data, in every process that resolves one.
+Both versions return the sorted values as one ``array('q')``: the shared
+version sorts a list of ints in place and packs it once, when the root
+returns.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 import numpy as np
@@ -140,7 +144,7 @@ def make_shared(scale: str = "small", seed: int = 0, n: Optional[int] = None,
         yield from sort_task(ctx, arr, 0, len(arr), group)
         yield ctx.join(group)
         done = yield ctx.now()
-        return {"output": arr, "work_vtime": done}
+        return {"output": array("q", arr), "work_vtime": done}
 
     def verify(result):
         _check_sorted(result, n, seed, "quicksort")
@@ -148,7 +152,7 @@ def make_shared(scale: str = "small", seed: int = 0, n: Optional[int] = None,
     def native():
         arr = random_array(n, seed=seed).tolist()
         _native_quicksort(arr, 0, len(arr))
-        return arr
+        return array("q", arr)
 
     return WorkloadRun(
         name="quicksort",
@@ -245,7 +249,7 @@ def dist_sort_task(ctx, space, chunk_handles, node: BstNode, group: TaskGroup):
         )
 
 
-def _traverse(node: Optional[BstNode], out: List[int]) -> None:
+def _traverse(node: Optional[BstNode], out: array) -> None:
     if node is None:
         return
     _traverse(node.left, out)
@@ -275,7 +279,7 @@ def make_distributed(scale: str = "small", seed: int = 0,
         yield from dist_sort_task(ctx, space, handles, tree, group)
         yield ctx.join(group)
         done = yield ctx.now()
-        out: List[int] = []
+        out = array("q")
         _traverse(tree, out)
         return {"output": out, "work_vtime": done}
 
@@ -285,7 +289,7 @@ def make_distributed(scale: str = "small", seed: int = 0,
     def native():
         tree = BstNode()
         _native_dist_sort(random_array(n, seed=seed).tolist(), tree)
-        out: List[int] = []
+        out = array("q")
         _traverse(tree, out)
         return out
 

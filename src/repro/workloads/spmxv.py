@@ -12,12 +12,14 @@ differ from the shared-memory ones (Fig. 9), and why it is representative
 of the simulator's intrinsic behaviour (Fig. 7).
 
 It scales well until the row blocks run out relative to the core count
-(the paper: tops at 64 cores for their datasets).
+(the paper: tops at 64 cores for their datasets).  The output ``y`` is one
+``array('d')``, allocated zeroed before the first task stores its rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from array import array
+from typing import Optional
 
 import numpy as np
 
@@ -99,7 +101,7 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
     data = matrix.data
 
     def root(ctx):
-        y = [0.0] * rows
+        y = array("d", [0.0]) * rows
         group = TaskGroup("spmxv")
         yield from multiply_task(ctx, indptr, indices, data, x, y,
                                  0, rows, group)
@@ -116,7 +118,7 @@ def make_workload(scale: str = "small", seed: int = 0, memory: str = "shared",
             "SpMxV result mismatch"
 
     def native():
-        y = [0.0] * rows
+        y = array("d", [0.0]) * rows
         for row in range(rows):
             start, end = int(indptr[row]), int(indptr[row + 1])
             acc = 0.0

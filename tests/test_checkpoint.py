@@ -16,6 +16,7 @@ a sharded snapshot onto a different shard count must be refused.
 import dataclasses
 import io
 import random
+from array import array
 
 import pytest
 
@@ -131,7 +132,7 @@ class TestMachineApi:
         verify_machine_state(cap, machine.snapshot())
         results = machine.resume_run()
         assert machine.live_tasks == 0
-        assert results[0]["output"] == sorted(results[0]["output"])
+        assert results[0]["output"] == array("q", sorted(results[0]["output"]))
 
     def test_resume_before_run_is_an_error(self):
         from repro.arch import build_machine

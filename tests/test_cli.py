@@ -148,6 +148,8 @@ class TestRun:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        # A refusal leaves nothing behind (no empty .repro-service/).
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

@@ -7,11 +7,12 @@ Per-pair state lives in the NoC alone, one entry per routed pair; the
 routing table keeps none.  ``tests/memory_past_1024.py`` checks the
 same at 4096 cores in CI.  A ``Tracer`` holds packed rows, not an
 object per recorded event.  A quicksort instance holds its recipe, not
-its dataset.
+its dataset, and a sharded run's coordinator receives its outputs packed.
 """
 
 import dataclasses
 import gc
+import multiprocessing
 import random
 import tracemalloc
 
@@ -19,12 +20,14 @@ import numpy as np
 import pytest
 
 from memory_past_1024 import traced_build
-from repro.arch import build_machine, dist_mesh, numa_mesh, shared_mesh
+from repro.arch import (build_backend, build_machine, dist_mesh, numa_mesh,
+                        shared_mesh)
 from repro.core.coreunit import ABSENT
 from repro.harness import trace
 from repro.network.noc import Noc
 from repro.network.routing import RoutingTable
 from repro.network.topology import square_mesh
+from repro.parallel import WorkloadSpec
 from repro.workloads import get_workload
 from repro.workloads.generators import random_array
 
@@ -155,3 +158,28 @@ def test_quicksort_instance_holds_no_dataset(memory):
     # the dataset as int64 and compares arrays: 1.62 MB measured.
     assert held <= 64 * 1024
     assert verify_peak <= 2.5 * 2**20
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork workers")
+def test_sharded_coordinator_receives_packed_outputs():
+    n = 50_000
+    cfg = dataclasses.replace(shared_mesh(16), backend="sharded", shards=2)
+    # First use: the imports and caches a sharded run makes once.
+    build_backend(cfg).run_workloads(
+        [WorkloadSpec("quicksort", scale="tiny", root_core=0)])
+    backend = build_backend(cfg)
+    spec = WorkloadSpec("quicksort", root_core=0, kwargs={"n": n})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        (result,) = backend.run_workloads([spec])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result["output"]) == n
+    # Measured 25 B per element: the array (8 B) plus the reply's bytes
+    # as the pipe reads them (8 B) and copies them (8 B).  A list of
+    # boxed ints measured 47 B.
+    assert peak / n <= 32

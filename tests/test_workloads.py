@@ -3,16 +3,23 @@
 Every benchmark's simulated output is checked against an independent
 reference (sorted(), union-find, a sequential Dijkstra, brute force, scipy)
 on several architectures and seeds; the Dijkstra reference is itself pinned
-equal to networkx here.
+equal to networkx here.  ``TestOutputContract`` pins the output's form:
+one typed ``array.array`` per dwarf, on both backends.
 """
 
+import dataclasses
 import math
+import multiprocessing
+import pickle
+from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.arch import build_machine, dist_mesh, shared_mesh, shared_mesh_validation
+from repro.arch import (build_backend, build_machine, dist_mesh, shared_mesh,
+                        shared_mesh_validation)
+from repro.parallel import WorkloadSpec
 from repro.workloads import BENCHMARKS, get_workload
 from repro.core.task import TaskGroup
 from repro.workloads.quicksort import _partition, sort_task
@@ -88,7 +95,7 @@ class TestQuicksortDetails:
     def test_distributed_builds_sorted_tree(self):
         result, _, _ = run_on("quicksort", dist_mesh(9), scale="tiny")
         output = result["output"]
-        assert output == sorted(output)
+        assert output == array("q", sorted(output))
 
     def test_duplicate_heavy_input(self):
         data = np.random.default_rng(3).integers(0, 8, size=300).tolist()
@@ -118,6 +125,70 @@ class TestQuicksortDetails:
         for bad in (swapped, neighbour, good[:-1], good + [good[-1]], []):
             with pytest.raises(AssertionError):
                 workload.verify(bad)
+
+
+#: Each dwarf's output typecode, per memory organization where it differs
+#: (quicksort has a shared and a distributed version).
+OUTPUT_TYPECODES = [
+    ("quicksort", "shared", "q"),
+    ("quicksort", "distributed", "q"),
+    ("connected_components", "shared", "q"),
+    ("dijkstra", "shared", "d"),
+    ("barnes_hut", "shared", "d"),
+    ("spmxv", "shared", "d"),
+    ("octree", "shared", "d"),
+]
+
+
+class TestOutputContract:
+    """Every dwarf returns one flat, typed ``array.array``, and its
+    ``native()`` returns the same type with the same values."""
+
+    @pytest.mark.parametrize("name,memory,typecode", OUTPUT_TYPECODES,
+                             ids=[f"{n}-{m}" for n, m, _ in OUTPUT_TYPECODES])
+    def test_output_is_a_typed_array(self, name, memory, typecode):
+        cfg = dist_mesh(4) if memory == "distributed" else shared_mesh(4)
+        result, _, workload = run_on(name, cfg)
+        out = result["output"]
+        assert type(out) is array and out.typecode == typecode
+        native = workload.native()
+        assert type(native) is array and native.typecode == typecode
+        assert (out == native) is True
+        workload.verify(out)
+        # Index 0 holds a finite value in every dwarf (dijkstra's source
+        # reads 0), so 2 v + 1 differs from it.
+        bad = array(typecode, out)
+        bad[0] = bad[0] * 2 + 1
+        with pytest.raises(AssertionError):
+            workload.verify(bad)
+        copy = pickle.loads(pickle.dumps(out))
+        assert type(copy) is array and copy.typecode == typecode
+        assert copy == out
+
+    def test_barnes_hut_missing_body_fails_verify(self):
+        result, _, workload = run_on("barnes_hut", shared_mesh(4))
+        out = array("d", result["output"])
+        assert len(out) == 3 * workload.meta["bodies"]
+        out[3:6] = array("d", [math.nan] * 3)
+        with pytest.raises(AssertionError, match="missing acceleration"):
+            workload.verify(out)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs fork workers")
+    @pytest.mark.parametrize("memory", ["shared", "distributed"])
+    def test_sharded_quicksort_returns_the_serial_arrays(self, memory):
+        cfg = dist_mesh(16) if memory == "distributed" else shared_mesh(16)
+        specs = [WorkloadSpec("quicksort", scale="tiny", seed=0,
+                              memory=memory, root_core=0),
+                 WorkloadSpec("quicksort", scale="tiny", seed=1,
+                              memory=memory, root_core=8)]
+        serial = build_backend(cfg).run_workloads(specs)
+        sharded = build_backend(dataclasses.replace(
+            cfg, backend="sharded", shards=2)).run_workloads(specs)
+        for spec, a, b in zip(specs, serial, sharded):
+            assert type(b["output"]) is array and b["output"].typecode == "q"
+            assert b["output"] == a["output"]
+            spec.resolve().verify(b["output"])
 
 
 class TestDijkstraDetails:
